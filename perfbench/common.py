@@ -1,16 +1,19 @@
-"""Shared pieces of the benchmark: paths, statistics, fingerprint, processes."""
+"""Shared pieces of the benchmark: paths, statistics, host speed,
+fingerprint, processes."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,8 +87,76 @@ def median(values: Sequence[float]) -> float:
     return float(np.median(np.asarray(values, dtype=float)))
 
 
+# ----------------------------------------------------------------------
+# Host speed
+# ----------------------------------------------------------------------
+
+#: Seconds :func:`reference_s` takes on the reference host, a 2-vCPU
+#: x86-64 virtual machine with Python 3.11 and NumPy 2.4.  Timed steps
+#: are reported at that host's speed (see :class:`HostClock`).
+REFERENCE_S = 0.060
+
+
+def reference_s() -> float:
+    """Wall time of a fixed kernel that stands for the host's current speed.
+
+    On a shared host the speed of memory-heavy NumPy code, interpreter
+    start and Python-level work changes by up to 2x in phases lasting
+    minutes, longer than any run.  This kernel does a little of each of
+    those (random draws, a cumsum and a searchsorted over arrays larger
+    than the caches; building and sorting small objects; dict and JSON
+    work) and calls no code of the program under test, so a change to the
+    program never moves it.
+    """
+    rng = np.random.default_rng(20100613)
+    start = time.perf_counter()
+    positions = np.cumsum(rng.exponential(20.0, 1_000_000))
+    np.searchsorted(positions, np.linspace(0.0, positions[-1], 100_000))
+    cells = [{"name": f"u{index}", "width": float(index % 97), "pins": [index, index + 1]}
+             for index in range(15_000)]
+    cells.sort(key=lambda cell: cell["width"])
+    table: Dict[int, int] = {}
+    for index in range(20_000):
+        table[index % 997] = table.get(index % 997, 0) + index
+    json.loads(json.dumps(positions[:4096].tolist()))
+    return time.perf_counter() - start
+
+
+class HostClock:
+    """Times a run's steps and samples the host's speed between them.
+
+    Every :meth:`timed` step is preceded by one run of the reference
+    kernel.  :meth:`scale` converts the run's wall times to the reference
+    host's speed: ``REFERENCE_S`` over the median kernel time of the whole
+    run.  One kernel run jitters by tens of percent, so a single factor per
+    run, from all of them, is steadier than scaling each step by its own.
+    """
+
+    def __init__(self) -> None:
+        self.references: List[float] = []
+
+    def sample(self) -> None:
+        """Run the reference kernel once and keep its time."""
+        self.references.append(reference_s())
+
+    def timed(self, fn: Callable, *args, **kwargs):
+        """``(wall seconds, result)`` of one call, after one kernel sample."""
+        self.sample()
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        return time.perf_counter() - start, result
+
+    def scale(self) -> float:
+        """Factor that converts this run's wall times to the reference host."""
+        return REFERENCE_S / median(self.references)
+
+
 def peak_rss_mb(children: bool = False) -> float:
-    """Peak resident set size of this process (or its reaped children)."""
+    """Peak resident set size of this process (or its reaped children).
+
+    A child's figure includes the peak its parent had when it was
+    spawned; for programs the benchmark runs use :func:`vm_hwm_mb`.
+    """
     who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
     return resource.getrusage(who).ru_maxrss / 1024.0
 
@@ -143,19 +214,62 @@ def fingerprint() -> Dict[str, object]:
 # ----------------------------------------------------------------------
 
 
-def run_timed(argv: List[str], timeout: float) -> Tuple[float, subprocess.CompletedProcess]:
-    """Run ``argv`` to completion; return (wall seconds, completed process)."""
-    start = time.perf_counter()
-    done = subprocess.run(
-        argv, env=child_env(), cwd=str(ROOT), capture_output=True,
-        timeout=timeout, check=False,
-    )
-    return time.perf_counter() - start, done
+#: Seconds between samples of a child's peak resident set.
+POLL_S = 0.005
+
+
+def vm_hwm_mb(pid: int) -> float:
+    """Peak resident set of a live process's program (VmHWM), 0 once gone.
+
+    Unlike ``RUSAGE_CHILDREN``, whose peak a spawned child inherits from
+    the parent that spawned it, this counts only the memory the child's
+    own program touched.
+    """
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return 0.0
+
+
+def run_timed(argv: List[str], timeout: float
+              ) -> Tuple[float, subprocess.CompletedProcess, float]:
+    """Run ``argv`` to completion: (wall seconds, completed process, peak MB).
+
+    The child's output goes to files under ``RUN_DIR`` while its peak
+    resident set is sampled every ``POLL_S`` seconds.
+    """
+    RUN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryFile(dir=RUN_DIR) as out, \
+            tempfile.TemporaryFile(dir=RUN_DIR) as err:
+        start = time.perf_counter()
+        process = subprocess.Popen(argv, env=child_env(), cwd=str(ROOT),
+                                   stdout=out, stderr=err)
+        peak = 0.0
+        try:
+            while process.poll() is None:
+                if time.perf_counter() - start > timeout:
+                    raise subprocess.TimeoutExpired(argv, timeout)
+                peak = max(peak, vm_hwm_mb(process.pid))
+                time.sleep(POLL_S)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        seconds = time.perf_counter() - start
+        out.seek(0)
+        err.seek(0)
+        done = subprocess.CompletedProcess(argv, process.returncode,
+                                           out.read(), err.read())
+    return seconds, done, peak
 
 
 def fresh_import_s() -> float:
     """Wall time of a fresh interpreter that only imports ``repro.cli``."""
-    seconds, done = run_timed([sys.executable, "-c", "import repro.cli"], 60.0)
+    seconds, done, _ = run_timed([sys.executable, "-c", "import repro.cli"], 60.0)
     if done.returncode != 0:
         raise RuntimeError(
             "fresh import of repro.cli failed: "

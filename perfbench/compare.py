@@ -1,25 +1,24 @@
-"""Collect, summarise or compare sets of benchmark runs.
+"""Summarise one set of benchmark runs, or compare a change against a base.
 
-    python3 perfbench/compare.py collect RUNS.jsonl [--seeds 1-10] \
-        [--workload W ...] [--seconds S] [--trace 0|1]
-    python3 perfbench/compare.py spread RUNS.jsonl
-    python3 perfbench/compare.py diff BASE.jsonl CHANGE.jsonl
+    python3 perfbench/compare.py RUNS.jsonl
+    python3 perfbench/compare.py BASE.jsonl CHANGE.jsonl
 
-``collect`` runs ``perfbench/run.py`` once per workload and seed, each in
-a fresh process as the benchmark is meant to be invoked, and appends
-each run's full record to the file.  The other commands read such a
-file (or ``.perfbench-run/records.jsonl``, where every run also lands).
+Each file holds full run records, one JSON object a line, as every run
+appends them to ``.perfbench-run/records.jsonl`` (move that file aside
+to start a new set).
 
-``spread`` prints, per workload and metric, the median, the quartiles
-and the quartile distance as a share of the median, and flags every
-end-to-end metric whose spread exceeds its bound in ``BENCHMARK.json``.
-``diff`` prints both sides' medians and quartiles, the median change and
-the pair wins of the change (runs paired by seed), and a verdict:
+With one file it prints, per workload and metric, the median, the
+quartiles as ``statistics.quantiles(values, n=4)`` gives them and the
+quartile distance as a share of the median, and flags every end-to-end
+metric whose spread exceeds its bound in ``BENCHMARK.json``; the exit
+code is 1 if any does.  With two files it prints both sides' medians,
+quartiles and spreads, the median change, the pair wins of the change
+(runs paired by seed) and a verdict: ``worse`` when the change's median
+is worse by more than the bound, ``unresolved`` when either side spreads
+wider than the bound (unless every change run beats every base run),
 ``better`` only when the change wins at least nine pairs in ten and the
-medians differ by more than the base's quartile distance, ``worse`` when
-the change's median is worse by more than the bound, ``unresolved`` when
-either side spreads wider than the bound (unless every change run beats
-every base run), ``same`` otherwise.
+medians differ by more than the base's quartile distance, ``same``
+otherwise.
 """
 
 from __future__ import annotations
@@ -27,14 +26,14 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-ROOT = Path(__file__).resolve().parent.parent
-BENCHMARK_JSON = ROOT / "BENCHMARK.json"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from perfbench.metrics import load_spec  # noqa: E402
 
 #: (workload, trace, metric) -> [(seed, value)]
 Runs = Dict[Tuple[str, int, str], List[Tuple[int, float]]]
@@ -54,8 +53,8 @@ def load_runs(path: Path) -> Runs:
     return runs
 
 
-def declared_metrics(path: Path = BENCHMARK_JSON) -> Dict[str, dict]:
-    spec = json.loads(path.read_text())
+def declared_metrics() -> Dict[str, dict]:
+    spec = load_spec()
     return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
 
@@ -80,9 +79,8 @@ def _better(a: float, b: float, direction: str) -> bool:
 
 def verdict(base: Sequence[float], change: Sequence[float], direction: str,
             bound: Optional[float], wins: int, pairs: int) -> str:
-    _, base_med, _ = quartiles(base)
+    q1, base_med, q3 = quartiles(base)
     _, change_med, _ = quartiles(change)
-    q1, _, q3 = quartiles(base)
     if bound is not None:
         worse_by = (change_med - base_med) if direction == "lower" else (base_med - change_med)
         if base_med and worse_by / abs(base_med) > bound:
@@ -96,32 +94,33 @@ def verdict(base: Sequence[float], change: Sequence[float], direction: str,
     return "same"
 
 
-def cmd_spread(args) -> int:
+def _flag(values: Sequence[float], bound: Optional[float]) -> str:
+    if bound is None:
+        return ""
+    if spread(values) > bound:
+        return "OVER BOUND"
+    return "over a third of bound" if spread(values) > bound / 3 else ""
+
+
+def summarise(runs: Runs) -> int:
     declared = declared_metrics()
-    runs = load_runs(args.runs)
     print(f"{'workload':16s} {'t':1s} {'metric':46s} {'n':>3s} "
           f"{'median':>12s} {'q1':>12s} {'q3':>12s} {'spread':>7s} flag")
     status = 0
     for (workload, trace, name), pairs in sorted(runs.items()):
         values = [v for _, v in pairs]
         q1, q2, q3 = quartiles(values)
-        bound = declared.get(name, {}).get("bound")
-        s = spread(values)
-        flag = ""
-        if bound is not None and name != "setup_s" and s > bound:
-            flag, status = "OVER BOUND", 1
-        elif bound is not None and s > bound / 3:
-            flag = "over a third of bound"
+        flag = _flag(values, declared.get(name, {}).get("bound"))
+        status = max(status, int(flag == "OVER BOUND"))
         print(f"{workload:16s} {trace:1d} {name:46s} {len(values):3d} "
-              f"{q2:12.6g} {q1:12.6g} {q3:12.6g} {s:7.2%} {flag}")
+              f"{q2:12.6g} {q1:12.6g} {q3:12.6g} {spread(values):7.2%} {flag}")
     return status
 
 
-def cmd_diff(args) -> int:
+def diff(base: Runs, change: Runs) -> int:
     declared = declared_metrics()
-    base, change = load_runs(args.base), load_runs(args.change)
     print(f"{'workload':16s} {'t':1s} {'metric':46s} {'base med':>12s} "
-          f"{'base q1-q3':>25s} {'change med':>12s} {'change q1-q3':>25s} "
+          f"{'spread':>7s} {'change med':>12s} {'spread':>7s} "
           f"{'delta':>8s} {'wins':>6s} verdict")
     for key in sorted(set(base) & set(change)):
         workload, trace, name = key
@@ -131,75 +130,26 @@ def cmd_diff(args) -> int:
         common = sorted(set(b_by_seed) & set(c_by_seed))
         paired = [(b_by_seed[s], c_by_seed[s]) for s in common] or list(zip(b_vals, c_vals))
         wins = sum(1 for a, b in paired if _better(a, b, spec["better"]))
-        bq1, bmed, bq3 = quartiles(b_vals)
-        cq1, cmed, cq3 = quartiles(c_vals)
+        _, bmed, _ = quartiles(b_vals)
+        _, cmed, _ = quartiles(c_vals)
         delta = (cmed - bmed) / abs(bmed) if bmed else 0.0
         result = verdict(b_vals, c_vals, spec["better"], spec.get("bound"),
                          wins, len(paired))
         print(f"{workload:16s} {trace:1d} {name:46s} {bmed:12.6g} "
-              f"{bq1:12.6g}-{bq3:<12.6g} {cmed:12.6g} {cq1:12.6g}-{cq3:<12.6g} "
+              f"{spread(b_vals):7.2%} {cmed:12.6g} {spread(c_vals):7.2%} "
               f"{delta:8.2%} {wins:2d}/{len(paired):<3d} {result}")
     return 0
 
 
-def parse_seeds(text: str) -> List[int]:
-    """``1-10`` or ``3,5,8``."""
-    if "-" in text:
-        low, high = (int(part) for part in text.split("-", 1))
-        return list(range(low, high + 1))
-    return [int(part) for part in text.split(",")]
-
-
-def cmd_collect(args) -> int:
-    spec = json.loads(BENCHMARK_JSON.read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
-    status = 0
-    for workload in workloads:
-        for seed in args.seeds:
-            done = subprocess.run(
-                spec["command"] + ["--workload", workload, "--seed", str(seed),
-                                   "--seconds", str(seconds),
-                                   "--trace", str(args.trace)],
-                cwd=str(ROOT), capture_output=True, timeout=600, check=False,
-            )
-            lines = done.stdout.decode().strip().splitlines()
-            if done.returncode != 0 or len(lines) < 2:
-                sys.stderr.write(done.stderr.decode()[-2000:])
-                print(f"{workload} seed {seed}: FAILED (exit {done.returncode})")
-                status = 1
-                continue
-            record, result = json.loads(lines[-2]), json.loads(lines[-1])
-            with open(args.runs, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record) + "\n")
-            values = " ".join(f"{name}={metric['value']:.6g}"
-                              for name, metric in result["metrics"].items()
-                              if not args.trace)
-            print(f"{workload} seed {seed}: correct={result['correct']} "
-                  f"attempted={result['attempted']} failed={result['failed']} "
-                  f"{values}", flush=True)
-    return status
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("collect", help="run the benchmark once per seed")
-    run.add_argument("runs", type=Path)
-    run.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
-    run.add_argument("--workload", action="append")
-    run.add_argument("--seconds", type=float)
-    run.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    run.set_defaults(handler=cmd_collect)
-    one = sub.add_parser("spread", help="summarise one set of runs")
-    one.add_argument("runs", type=Path)
-    one.set_defaults(handler=cmd_spread)
-    two = sub.add_parser("diff", help="compare a change against a base")
-    two.add_argument("base", type=Path)
-    two.add_argument("change", type=Path)
-    two.set_defaults(handler=cmd_diff)
+    parser.add_argument("base", type=Path, help="records of one set of runs")
+    parser.add_argument("change", type=Path, nargs="?",
+                        help="records of a second set, to compare with the first")
     args = parser.parse_args(argv)
-    return args.handler(args)
+    if args.change is None:
+        return summarise(load_runs(args.base))
+    return diff(load_runs(args.base), load_runs(args.change))
 
 
 if __name__ == "__main__":

@@ -79,42 +79,42 @@ def installed(tracer: Tracer) -> Iterator[None]:
         yield
 
 
-def layer_values(tracer: Tracer, n_ops: int) -> Dict[str, float]:
-    """Span and counter reductions, per operation, for every traced layer."""
-    per = 1.0 / max(1, n_ops)
-    counters = tracer.counters
-    drawn = counters["gaps_drawn"]
-    values = {
-        "engine.sample_track_batch.calls": tracer.calls("engine.sample_track_batch"),
-        "engine.sample_track_batch.busy_s": tracer.busy_s("engine.sample_track_batch"),
-        "engine.gaps_drawn": drawn,
-        "engine.count_in_windows_flat.calls":
-            tracer.calls("engine.count_in_windows_flat"),
-        "engine.count_in_windows_flat.busy_s":
-            tracer.busy_s("engine.count_in_windows_flat"),
-        "engine.windows_counted": counters["windows_counted"],
-        "chip_sim.run.self_s": tracer.self_s("chip_sim.run"),
-        "timing.propagate_arrivals.busy_s": tracer.busy_s("timing.propagate_arrivals"),
-        "timing.node_evals": counters["node_evals"],
-        "timing.run.self_s": tracer.self_s("timing.run"),
-        "wafer_sim.simulate_wafer.busy_s": tracer.busy_s("wafer_sim.simulate_wafer"),
-        "wafer_sim.run_chip_wafer.busy_s": tracer.busy_s("wafer_sim.run_chip_wafer"),
-        "surface.build.calls": tracer.calls("surface.build"),
-        "surface.build.busy_s": tracer.busy_s("surface.build"),
-        "core.count_model.pmf.calls": tracer.calls("core.count_model.pmf"),
-        "core.count_model.pmf.busy_s": tracer.busy_s("core.count_model.pmf"),
-        "device.shorts.joint_failure_probability.calls":
-            tracer.calls("device.shorts.joint_failure_probability"),
-        "device.shorts.joint_failure_probability.busy_s":
-            tracer.busy_s("device.shorts.joint_failure_probability"),
-        "coopt.validate.busy_s": tracer.busy_s("coopt.validate"),
-        "serving.query.calls": tracer.calls("serving.query"),
-        "serving.query.busy_s": tracer.busy_s("serving.query"),
-        "serving.query.points": counters["query_points"],
-        "service.parse.busy_s": tracer.busy_s("service.parse"),
-        "service.encode.busy_s": tracer.busy_s("service.encode"),
-        "service.app.self_s": tracer.self_s("service.app"),
-    }
-    values = {name: value * per for name, value in values.items()}
-    values["engine.gap_use_ratio"] = counters["gaps_valid"] / drawn if drawn else 0.0
+#: Per-layer metric groups that more than one workload measures.
+ENGINE = (
+    "engine.sample_track_batch.calls", "engine.sample_track_batch.busy_s",
+    "engine.gaps_drawn", "engine.gap_use_ratio",
+    "engine.count_in_windows_flat.calls", "engine.count_in_windows_flat.busy_s",
+    "engine.windows_counted",
+)
+TIMING = ("timing.propagate_arrivals.busy_s", "timing.node_evals", "timing.run.self_s")
+SERVING_QUERY = ("serving.query.calls", "serving.query.busy_s", "serving.query.points")
+
+
+#: Per-layer metric -> the tracer counter it reports.
+COUNTERS = {
+    "engine.gaps_drawn": "gaps_drawn",
+    "engine.windows_counted": "windows_counted",
+    "timing.node_evals": "node_evals",
+    "serving.query.points": "query_points",
+}
+
+
+def layer_values(tracer: Tracer, n_ops: int, names) -> Dict[str, float]:
+    """The span and counter reductions among ``names``, per operation.
+
+    A name ending in ``.calls``, ``.busy_s`` or ``.self_s`` reduces the
+    spans named by the rest of it; :data:`COUNTERS` names counters.  Both
+    are divided by ``n_ops``.  The gap-use ratio is valid over drawn
+    gaps.  Other names are left for the workload to fill in.
+    """
+    values = {}
+    for name in names:
+        span, _, kind = name.rpartition(".")
+        if name in COUNTERS:
+            values[name] = tracer.counters[COUNTERS[name]] / max(1, n_ops)
+        elif kind in ("calls", "busy_s", "self_s"):
+            values[name] = getattr(tracer, kind)(span) / max(1, n_ops)
+        elif name == "engine.gap_use_ratio":
+            drawn = tracer.counters["gaps_drawn"]
+            values[name] = tracer.counters["gaps_valid"] / drawn if drawn else 0.0
     return values

@@ -1,87 +1,66 @@
-"""Names, units and directions of every metric the benchmark emits.
+"""The metrics the benchmark emits, read from ``BENCHMARK.json``.
 
-``BENCHMARK.json`` at the repository root lists the same metrics; the
-benchmark's tests hold the two in step.  The end-to-end metrics are
+``BENCHMARK.json`` at the root of the checkout is the one list of metric
+names, units, directions and bounds.  The end-to-end metrics are
 reported by every workload, each workload giving them its own meaning
 (see README.md); per-layer values are per operation of the workload.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+import json
+from pathlib import Path
+from typing import Collection, Dict, Mapping
 
-#: name -> (unit, better, bound)
-END_TO_END = {
-    "setup_s": ("s", "lower", 0.25),
-    "primary_ms": ("ms", "lower", 0.25),
-    "secondary_ms": ("ms", "lower", 0.25),
-    "peak_rss_mb": ("MB", "lower", 0.1),
-}
+BENCHMARK_JSON = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
-#: name -> (unit, better)
-PER_LAYER = {
-    "engine.sample_track_batch.calls": ("count", "lower"),
-    "engine.sample_track_batch.busy_s": ("s", "lower"),
-    "engine.gaps_drawn": ("count", "lower"),
-    "engine.gap_use_ratio": ("ratio", "higher"),
-    "engine.count_in_windows_flat.calls": ("count", "lower"),
-    "engine.count_in_windows_flat.busy_s": ("s", "lower"),
-    "engine.windows_counted": ("count", "lower"),
-    "chip_sim.run.self_s": ("s", "lower"),
-    "timing.propagate_arrivals.busy_s": ("s", "lower"),
-    "timing.node_evals": ("count", "lower"),
-    "timing.run.self_s": ("s", "lower"),
-    "wafer_sim.simulate_wafer.busy_s": ("s", "lower"),
-    "wafer_sim.die_trials": ("count", "higher"),
-    "wafer_sim.run_chip_wafer.busy_s": ("s", "lower"),
-    "wafer_sim.run_chip_wafer.scaling_eff": ("ratio", "higher"),
-    "growth.wafer_generate.busy_s": ("s", "lower"),
-    "surface.build.calls": ("count", "lower"),
-    "surface.build.busy_s": ("s", "lower"),
-    "core.count_model.pmf.calls": ("count", "lower"),
-    "core.count_model.pmf.busy_s": ("s", "lower"),
-    "device.shorts.joint_failure_probability.calls": ("count", "lower"),
-    "device.shorts.joint_failure_probability.busy_s": ("s", "lower"),
-    "coopt.inner_loop_s": ("s", "lower"),
-    "coopt.prune_ratio": ("ratio", "higher"),
-    "coopt.escalated": ("count", "lower"),
-    "coopt.validate.busy_s": ("s", "lower"),
-    "serving.query.calls": ("count", "lower"),
-    "serving.query.busy_s": ("s", "lower"),
-    "serving.query.points": ("count", "higher"),
-    "serving.fallback_frac": ("ratio", "lower"),
-    "serving.cache.hit_rate": ("ratio", "higher"),
-    "service.parse.busy_s": ("s", "lower"),
-    "service.encode.busy_s": ("s", "lower"),
-    "service.app.self_s": ("s", "lower"),
-    "service.errors": ("count", "lower"),
-    "http.gen_lag_p99_ms": ("ms", "lower"),
-    "http.backlog_max": ("count", "lower"),
-    "http.max_rate_rps": ("1/s", "higher"),
-    "cli.import_s": ("s", "lower"),
-    "trace.overhead_frac": ("ratio", "lower"),
-}
+
+def load_spec(path: Path = BENCHMARK_JSON) -> Dict[str, object]:
+    """The parsed ``BENCHMARK.json``."""
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def declared(trace: bool, path: Path = BENCHMARK_JSON) -> Dict[str, Dict[str, object]]:
+    """name -> declaration of the per-layer (traced) or end-to-end metrics."""
+    spec = load_spec(path)
+    return {m["name"]: m for m in spec["per_layer" if trace else "end_to_end"]}
+
+
+#: Per-layer metrics that may read 0 on a workload that reaches their
+#: layer: error and backlog counts, escalations a search may not need, and
+#: the highest ladder rate when even the lowest rung misses the budget.
+MAY_BE_ZERO = frozenset({"service.errors", "http.backlog_max", "coopt.escalated",
+                         "http.max_rate_rps"})
 
 
 def result_line(correct: bool, attempted: int, failed: int,
-                values: Mapping[str, float], trace: bool) -> Dict[str, object]:
+                values: Mapping[str, float], trace: bool,
+                reached: Collection[str] = ()) -> Dict[str, object]:
     """The final JSON object of a run.
 
-    Raises ``ValueError`` unless ``values`` names exactly the metrics of
-    the run's kind (end-to-end untraced, per-layer traced) with finite
-    numbers.
+    Untraced, ``values`` must name exactly the end-to-end metrics.
+    Traced, ``values`` must name exactly ``reached``, the per-layer
+    metrics the workload measures, each non-zero unless listed in
+    :data:`MAY_BE_ZERO`; every other per-layer metric belongs to a layer
+    the workload does not reach and is reported as 0.  Raises
+    ``ValueError`` on any other set of names or on a non-finite value.
     """
-    declared = PER_LAYER if trace else END_TO_END
-    missing = sorted(set(declared) - set(values))
-    extra = sorted(set(values) - set(declared))
-    if missing or extra:
-        raise ValueError(f"metric names differ: missing {missing}, extra {extra}")
+    names = declared(trace)
+    expected = set(reached) if trace else set(names)
+    missing = sorted(expected - set(values))
+    extra = sorted(set(values) - expected)
+    unknown = sorted(expected - set(names))
+    if missing or extra or unknown:
+        raise ValueError(f"metric names differ: missing {missing}, extra {extra}, "
+                         f"undeclared {unknown}")
     metrics = {}
-    for name, value in values.items():
-        value = float(value)
+    for name in names:
+        value = float(values.get(name, 0.0))
         if value != value or value in (float("inf"), float("-inf")):
             raise ValueError(f"metric {name} is not finite: {value!r}")
-        metrics[name] = {"value": value, "unit": declared[name][0]}
+        if name in expected and value == 0.0 and (not trace or name not in MAY_BE_ZERO):
+            raise ValueError(f"metric {name} reads 0 on a workload that measures it")
+        metrics[name] = {"value": value, "unit": names[name]["unit"]}
     return {
         "correct": bool(correct),
         "attempted": int(attempted),

@@ -46,12 +46,14 @@ def main(argv=None) -> int:
     common.require_source_tree()
     env = common.fingerprint()
     tracer = Tracer() if args.trace else None
-    result = load(args.workload).run(args.seed, args.seconds, tracer)
+    workload = load(args.workload)
+    result = workload.run(args.seed, args.seconds, tracer)
 
-    values = dict.fromkeys(metrics.PER_LAYER, 0.0) if tracer else {}
-    values.update(result.values)
+    # A traced run reports every per-layer metric; those of layers this
+    # workload never reaches read 0 (result_line fills them in).
     line = metrics.result_line(
-        result.correct, result.attempted, result.failed, values, bool(tracer)
+        result.correct, result.attempted, result.failed, result.values,
+        bool(tracer), workload.LAYERS,
     )
     record = {
         "workload": args.workload,

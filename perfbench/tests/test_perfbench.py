@@ -17,8 +17,8 @@ for entry in (ROOT, ROOT / "src"):
     if str(entry) not in sys.path:
         sys.path.insert(0, str(entry))
 
-from perfbench import checks, compare, metrics  # noqa: E402
-from perfbench.common import summarize, tail_percentile  # noqa: E402
+from perfbench import checks, common, compare, metrics  # noqa: E402
+from perfbench.common import HostClock, summarize, tail_percentile  # noqa: E402
 from perfbench.tracing import Tracer  # noqa: E402
 from perfbench.workloads import NAMES, load  # noqa: E402
 
@@ -61,41 +61,65 @@ def test_http_bodies_are_distinct_and_follow_the_mix():
 # ----------------------------------------------------------------------
 
 
-def test_declared_metrics_match_benchmark_json():
-    end_to_end = {m["name"]: (m["unit"], m["better"], m["bound"])
-                  for m in SPEC["end_to_end"]}
-    per_layer = {m["name"]: (m["unit"], m["better"]) for m in SPEC["per_layer"]}
-    assert end_to_end == metrics.END_TO_END
-    assert per_layer == metrics.PER_LAYER
+def test_benchmark_json_declares_the_workloads_and_a_setup_metric():
     assert [w["name"] for w in SPEC["workloads"]] == list(NAMES)
-    assert [w["why"] for w in SPEC["workloads"]] == [load(n).WHY for n in NAMES]
     assert SPEC["paths"] == ["perfbench"]
+    end_to_end = {m["name"]: m for m in SPEC["end_to_end"]}
     setup = end_to_end["setup_s"]
-    assert setup[:2] == ("s", "lower")
-    assert setup[2] == max(bound for _, _, bound in end_to_end.values())
+    assert (setup["unit"], setup["better"]) == ("s", "lower")
+    assert setup["bound"] == max(m["bound"] for m in end_to_end.values())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_workload_layers_are_declared_per_layer_metrics(name):
+    layers = load(name).LAYERS
+    assert len(set(layers)) == len(layers)
+    assert set(layers) <= set(metrics.declared(trace=True))
+
+
+def test_every_per_layer_metric_is_measured_by_some_workload():
+    measured = set().union(*(load(name).LAYERS for name in NAMES))
+    assert measured == set(metrics.declared(trace=True))
 
 
 def test_result_line_emits_exactly_the_declared_names():
-    values = dict.fromkeys(metrics.END_TO_END, 1.5)
-    line = metrics.result_line(True, 3, 0, values, trace=False)
+    end_to_end, per_layer = metrics.declared(False), metrics.declared(True)
+    line = metrics.result_line(True, 3, 0, dict.fromkeys(end_to_end, 1.5), trace=False)
     assert set(line) == {"correct", "attempted", "failed", "metrics"}
-    assert set(line["metrics"]) == set(metrics.END_TO_END)
+    assert list(line["metrics"]) == list(end_to_end)
     assert line["metrics"]["setup_s"] == {"value": 1.5, "unit": "s"}
-    traced = metrics.result_line(True, 1, 0, dict.fromkeys(metrics.PER_LAYER, 0.0),
-                                 trace=True)
-    assert set(traced["metrics"]) == set(metrics.PER_LAYER)
+    reached = ("engine.gaps_drawn", "service.errors")
+    traced = metrics.result_line(
+        True, 1, 0, {"engine.gaps_drawn": 7.0, "service.errors": 0.0},
+        trace=True, reached=reached)
+    assert list(traced["metrics"]) == list(per_layer)
+    assert traced["metrics"]["engine.gaps_drawn"]["value"] == 7.0
+    assert all(m["value"] == 0.0 for n, m in traced["metrics"].items()
+               if n != "engine.gaps_drawn")
 
 
 @pytest.mark.parametrize("mutate", [
     lambda v: v.pop("setup_s"),
     lambda v: v.update(unknown_metric=1.0),
     lambda v: v.update(primary_ms=float("nan")),
+    lambda v: v.update(primary_ms=0.0),
 ])
-def test_result_line_rejects_wrong_names_and_non_finite_values(mutate):
-    values = dict.fromkeys(metrics.END_TO_END, 1.0)
+def test_result_line_rejects_wrong_names_and_bad_values(mutate):
+    values = dict.fromkeys(metrics.declared(trace=False), 1.0)
     mutate(values)
     with pytest.raises(ValueError):
         metrics.result_line(True, 1, 0, values, trace=False)
+
+
+@pytest.mark.parametrize("values", [
+    {},                                                   # a reached layer missing
+    {"engine.gaps_drawn": 0.0},                           # a wrapper that never fired
+    {"engine.gaps_drawn": 5.0, "timing.node_evals": 3.0},  # an undeclared reach
+])
+def test_traced_result_line_rejects_missing_zero_or_unreached_values(values):
+    with pytest.raises(ValueError):
+        metrics.result_line(True, 1, 0, values, trace=True,
+                            reached=("engine.gaps_drawn",))
 
 
 def test_run_exits_non_zero_without_a_source_tree(tmp_path):
@@ -256,8 +280,38 @@ def test_layer_wrappers_cover_every_target_and_restore_it():
         assert service_app.json is not before[1]
     assert (chip_sim.sample_track_batch, service_app.json,
             vars(chip_sim.ChipMonteCarlo)["run"]) == before
-    values = layers.layer_values(Tracer(), 1)
-    assert set(values) <= set(metrics.PER_LAYER)
+    tracer = Tracer()
+    with tracer.span("chip_sim.run"):
+        with tracer.span("engine.sample_track_batch"):
+            pass
+    tracer.counters.update(gaps_drawn=8, gaps_valid=6)
+    values = layers.layer_values(tracer, 2, ("engine.sample_track_batch.calls",
+                                             "engine.gaps_drawn", "engine.gap_use_ratio",
+                                             "chip_sim.run.self_s", "cli.import_s"))
+    assert values["engine.sample_track_batch.calls"] == 0.5
+    assert values["engine.gaps_drawn"] == 4.0
+    assert values["engine.gap_use_ratio"] == 0.75
+    assert values["chip_sim.run.self_s"] >= 0.0
+    assert "cli.import_s" not in values
+
+
+def test_run_timed_reports_the_childs_own_peak_rss():
+    seconds, done, peak_mb = common.run_timed(
+        [sys.executable, "-c",
+         "import time; block = bytearray(64 << 20); time.sleep(0.2); print('ok')"],
+        30.0)
+    assert done.returncode == 0 and done.stdout.strip() == b"ok"
+    assert seconds > 0.2
+    assert 64.0 <= peak_mb < 100.0  # the block plus a bare interpreter
+
+
+def test_host_clock_samples_the_kernel_before_each_step_and_scales_by_its_median():
+    clock = HostClock()
+    wall, result = clock.timed(sum, [1, 2, 3])
+    assert result == 6 and wall > 0.0 and len(clock.references) == 1
+    clock.references = [0.5 * common.REFERENCE_S, 2.0 * common.REFERENCE_S,
+                        0.5 * common.REFERENCE_S]
+    assert clock.scale() == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------

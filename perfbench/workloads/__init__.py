@@ -1,8 +1,9 @@
 """The benchmark's workloads, one module each.
 
-Every workload module exposes ``WHY`` (one line), ``plan(seed, n)`` (the
-first ``n`` generated operation inputs, for determinism tests) and
-``run(seed, seconds, tracer)``, which returns a :class:`RunResult`.
+Every workload module exposes ``LAYERS`` (the per-layer metrics it
+measures), ``plan(seed, n)`` (the first ``n`` generated operation
+inputs, for determinism tests) and ``run(seed, seconds, tracer)``, which
+returns a :class:`RunResult`.
 ``tracer`` is ``None`` for the untraced run that reports end-to-end
 metrics, and a :class:`~perfbench.tracing.Tracer` for the traced run
 that reports per-layer metrics.

@@ -4,12 +4,14 @@ One operation runs ``ChipMonteCarlo.run(600)`` and then
 ``TimingMonteCarlo.run(400)`` on the scale-0.25 OpenRISC-like Nangate45
 placement (37,740 devices, 149 rows, 789 distinct windows) at the sparse
 corner with metallic shorts on.  ``primary_ms`` is the median chip run,
-``secondary_ms`` the median STA run, ``setup_s`` the median of three
-builds of placement, chip geometry and derived timing graph.
+``secondary_ms`` the median STA run, ``setup_s`` the median of five
+builds of placement, chip geometry and derived timing graph, all at the
+reference host's speed (``perfbench.common.HostClock``).
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import List, Optional
 
@@ -28,12 +30,13 @@ from repro.timing import ingest  # noqa: F401 -- imported lazily by from_chip
 
 from perfbench import layers
 from perfbench.checks import check_chip, check_timing
-from perfbench.common import median, peak_rss_mb, summarize
+from perfbench.common import HostClock, median, peak_rss_mb, summarize
 from perfbench.tracing import Tracer
 from perfbench.workloads import RunResult, timed, traced_pairs
 
-WHY = ("in-process chip MC + STA at 37,740 devices with shorts on: heaviest "
-       "engine and timing load; primary = chip run, secondary = STA run")
+#: Per-layer metrics this workload measures (see ``perfbench.metrics``).
+LAYERS = layers.ENGINE + ("chip_sim.run.self_s",) + layers.TIMING \
+    + ("trace.overhead_frac",)
 
 DESIGN_SCALE = 0.25
 MEAN_PITCH_NM = 20.0
@@ -41,7 +44,7 @@ MEAN_PITCH_NM = 20.0
 TYPE_MODEL = (1.0 / 3.0, 0.95, 0.3)
 CHIP_TRIALS = 600
 STA_TRIALS = 400
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 
 
 def plan(seed: int, n: int) -> List[int]:
@@ -72,12 +75,15 @@ def predicted_failing_devices(chip) -> float:
     return float(np.sum(np.asarray(counts) * model.failure_probabilities(widths)))
 
 
-def operation(chip, timing, op_seed: int):
-    """One chip run then one STA run; returns both times and outputs."""
-    chip_s, chip_result = timed(
+def operation(chip, timing, op_seed: int, timer=timed):
+    """One chip run then one STA run, each timed by ``timer``.
+
+    Returns both times and both outputs.
+    """
+    chip_s, chip_result = timer(
         chip.run, CHIP_TRIALS, np.random.default_rng([op_seed, 0])
     )
-    sta_s, sta_result = timed(
+    sta_s, sta_result = timer(
         timing.run, STA_TRIALS, np.random.default_rng([op_seed, 1])
     )
     return chip_s, sta_s, chip_result, sta_result
@@ -91,9 +97,13 @@ def fingerprint_outputs(chip_result, sta_result) -> bytes:
 
 def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
     out = RunResult()
+    clock = HostClock()
     setup_times = []
     for _ in range(SETUP_REPEATS):
-        elapsed, (chip, timing) = timed(build)
+        # Every build starts from a collected heap, not from the garbage
+        # of the one before, whose collection would land in some builds.
+        gc.collect()
+        elapsed, (chip, timing) = clock.timed(build)
         setup_times.append(elapsed)
     predicted = predicted_failing_devices(chip)
     nominal_ps = timing.nominal_critical_path_ps()
@@ -113,16 +123,18 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
     if tracer is None:
         chip_times, sta_times = [], []
         for op_seed in seeds:
-            chip_s, sta_s, chip_result, sta_result = operation(chip, timing, op_seed)
+            chip_s, sta_s, chip_result, sta_result = operation(
+                chip, timing, op_seed, clock.timed)
             chip_times.append(chip_s)
             sta_times.append(sta_s)
             check(chip_result, sta_result)
             if time.perf_counter() >= deadline:
                 break
+        scale = clock.scale()
         out.values = {
-            "setup_s": median(setup_times),
-            "primary_ms": 1e3 * median(chip_times),
-            "secondary_ms": 1e3 * median(sta_times),
+            "setup_s": scale * median(setup_times),
+            "primary_ms": 1e3 * scale * median(chip_times),
+            "secondary_ms": 1e3 * scale * median(sta_times),
             "peak_rss_mb": peak_rss_mb(),
         }
         out.detail.update({
@@ -130,6 +142,7 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
             "sta_run_s": summarize(sta_times),
             "chip_trials_per_s": CHIP_TRIALS / median(chip_times),
             "sta_trials_per_s": STA_TRIALS / median(sta_times),
+            "reference_s": summarize(clock.references),
         })
     else:
         def op(op_seed, traced):
@@ -141,7 +154,7 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
         for outputs in pairs.outputs:
             check(*outputs)
         out.record([] if pairs.equal else ["trace: traced outputs differ from untraced"])
-        out.values = layers.layer_values(tracer, len(pairs.outputs))
+        out.values = layers.layer_values(tracer, len(pairs.outputs), LAYERS)
         out.values["trace.overhead_frac"] = pairs.overhead_frac
         out.detail["traced_outputs_equal"] = pairs.equal
     out.detail.update({

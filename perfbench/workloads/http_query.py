@@ -10,12 +10,18 @@ point, 24 carry 32 points and 4 carry 1024 points; of each size three
 in four go to the device surface and one in four to the row surface; two
 32-point requests have every width 5-50 % past the grid, so the exact
 fallback runs.  Every body is distinct.
-``primary_ms`` is the median latency from due time over all requests,
-``secondary_ms`` the median latency of the 1024-point requests, whose
-cost is mostly per-point JSON encode.  The record also reports p99 (the
-highest percentile with ten samples beyond it), but on a small shared
-host the tail is set by scheduling stalls and its run-to-run spread is
-far wider than any bound, so it is not a gated metric.
+The untraced run then replays the window's bodies, in order, through
+the in-process ``YieldApp``: ``primary_ms`` is the median service time
+of the 1-point requests, which is per-request overhead (parse, validate,
+ASGI), and ``secondary_ms`` that of the 1024-point requests, whose cost
+is mostly per-point JSON encode.  Both are at the reference host's speed
+(``perfbench.common.HostClock``); ``setup_s``, a fresh interpreter's
+boot, is plain wall time.  Latencies over
+the wire, from each request's due time, are in the record by batch size
+with median and p99 (the highest percentile with ten samples beyond it),
+but they are not gated: with client and server sharing two CPUs of a
+shared host, their run-to-run spread (25-60 % of the median for the
+batch-1 median) is wider than any permitted bound.
 """
 
 from __future__ import annotations
@@ -37,26 +43,36 @@ from perfbench.checks import check_bounds, check_identical
 from perfbench.common import (
     RUN_DIR,
     child_env,
+    HostClock,
     fresh_import_s,
     median,
     nproc,
-    peak_rss_mb,
     summarize,
     tail_percentile,
+    vm_hwm_mb,
 )
 from perfbench.tracing import Tracer
 from perfbench.workloads import RunResult, traced_pairs
 
-WHY = ("repro serve under open-loop load of distinct small and large batches; "
-       "no Monte Carlo; at 150 req/s primary = p50 latency, secondary = p50 of batch-1024")
+#: Per-layer metrics this workload measures (see ``perfbench.metrics``).
+LAYERS = layers.SERVING_QUERY + (
+    "serving.fallback_frac", "serving.cache.hit_rate",
+    "service.parse.busy_s", "service.encode.busy_s", "service.app.self_s",
+    "service.errors", "http.gen_lag_p99_ms", "http.backlog_max",
+    "http.max_rate_rps", "cli.import_s", "trace.overhead_frac",
+)
 
 W_LOW, W_HIGH = 60.0, 300.0
 D_LOW, D_HIGH = 150.0, 400.0
 DEVICE_COUNT = {"device": 3.3e7, "row": 1.0e7}
 RATE_RPS = 150.0
 LADDER_RPS = (100.0, 200.0, 400.0, 800.0)
+#: Expected requests per ladder rung: enough that p99 has ten beyond it.
+LADDER_REQUESTS = 1100
 #: The service's latency budget, which a ladder rate must meet at p99.
 P99_BUDGET_S = 0.050
+#: Replayed requests per reference-kernel sample.
+REPLAY_PER_REFERENCE = 100
 SETUP_BOOTS = 3
 CROSSCHECK_SAMPLES = 16
 #: Bounds every in-process answer must reproduce bit for bit.
@@ -165,6 +181,7 @@ class Server:
 
     def __init__(self, store: Path, log: Path) -> None:
         self.port = _free_port()
+        self.peak_rss_mb = 0.0
         self._log = open(log, "ab")
         start = time.perf_counter()
         self.process = subprocess.Popen(
@@ -195,6 +212,7 @@ class Server:
         raise RuntimeError(f"server not ready within {timeout_s:g} s")
 
     def stop(self) -> None:
+        self.peak_rss_mb = max(self.peak_rss_mb, vm_hwm_mb(self.process.pid))
         if self.process.poll() is None:
             self.process.terminate()
             try:
@@ -238,22 +256,24 @@ def crosscheck(store: Path, queries: Sequence[Query],
     return problems
 
 
-def _tail(values: Sequence[float]) -> float:
+def _tail(values: Sequence[float]):
+    """(percentile, value): the highest percentile with ten samples beyond."""
     pct = tail_percentile(len(values))
-    return float(np.percentile(values, pct if pct is not None else 100.0))
+    pct = pct if pct is not None else 100.0
+    return pct, float(np.percentile(values, pct))
 
 
 class _AppReplay:
     """Replays request bodies through the in-process ASGI app."""
 
-    def __init__(self, store: Path, tracer: Tracer) -> None:
+    def __init__(self, store: Path, tracer: Optional[Tracer] = None) -> None:
         from repro.service.http import StoreAppFactory
 
         self.app = StoreAppFactory(store=str(store))()
         self.tracer = tracer
         self.loop = asyncio.new_event_loop()
 
-    def __call__(self, body: bytes, traced: bool):
+    def __call__(self, body: bytes, traced: bool = False):
         messages = []
 
         async def receive():
@@ -278,6 +298,33 @@ class _AppReplay:
         self.loop.close()
 
 
+def _replay_service_times(store: Path, queries: Sequence[Query],
+                          warm: Sequence[Query], clock: HostClock,
+                          per_request: List[List[str]]) -> Dict[int, List[float]]:
+    """In-process service time of every request, by batch size.
+
+    Replays the load window's bodies, in order, through a fresh
+    in-process app (after the warm-up bodies, untimed), sampling the
+    host's speed every ``REPLAY_PER_REFERENCE`` requests.  A reply other
+    than 200 is a problem of that request.
+    """
+    times: Dict[int, List[float]] = {1: [], 32: [], 1024: []}
+    replay = _AppReplay(store)
+    try:
+        for query in warm:
+            replay(query.body)
+        for index, query in enumerate(queries):
+            if index % REPLAY_PER_REFERENCE == 0:
+                clock.sample()
+            elapsed, (status, _) = replay(query.body)
+            if status != 200:
+                per_request[index].append(f"replay: HTTP {status}")
+            times[query.width_nm.size].append(elapsed)
+    finally:
+        replay.close()
+    return times
+
+
 def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
     out = RunResult()
     RUN_DIR.mkdir(exist_ok=True)
@@ -290,12 +337,14 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
         build_start = time.perf_counter()
         keys = build_store(store)
         out.detail["store_build_s"] = time.perf_counter() - build_start
+        boots = []
         for _ in range(SETUP_BOOTS if tracer is None else 1):
             if servers:
                 servers[-1].stop()
             servers.append(Server(store, log))
+            boots.append(servers[-1].boot_s)
         server = servers[-1]
-        window_s = seconds if tracer is None else 0.3 * seconds
+        window_s = (0.5 if tracer is None else 0.3) * seconds
         offsets = loadgen.arrival_offsets(
             np.random.default_rng([seed, 3]), RATE_RPS, window_s)
         queries = make_queries(seed, len(offsets), keys)
@@ -323,6 +372,9 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
         for index, problems in crosscheck(
                 store, queries, payloads, np.random.default_rng([seed, 4])).items():
             per_request[index] = per_request[index] + problems
+        if tracer is None:
+            clock = HostClock()
+            service_s = _replay_service_times(store, queries, warm, clock, per_request)
         for problems in per_request:
             out.record(problems)
         ok_latency = [lat for lat, status in zip(load.latency_s, load.status)
@@ -341,19 +393,25 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
                 str(size): summarize(values) for size, values in by_batch.items()},
             "gen_lag_s": summarize(load.gen_lag_s),
             "backlog_max": load.backlog_max,
-            "boot_s": summarize([s.boot_s for s in servers]),
+            "boot_s": summarize(boots),
         })
         if tracer is None:
+            scale = clock.scale()
             out.values = {
-                "setup_s": median([s.boot_s for s in servers]),
-                "primary_ms": 1e3 * median(ok_latency),
-                "secondary_ms": 1e3 * median(by_batch[1024]),
+                "setup_s": median(boots),
+                "primary_ms": 1e3 * scale * median(service_s[1]),
+                "secondary_ms": 1e3 * scale * median(service_s[1024]),
             }
+            out.detail.update({
+                "service_by_batch_s": {
+                    str(size): summarize(values) for size, values in service_s.items()},
+                "reference_s": summarize(clock.references),
+            })
         else:
             metrics_status, metrics_body = _get(server.port, "/v1/metrics")
             cache = json.loads(metrics_body)["service"]["cache"] \
                 if metrics_status == 200 else {}
-            ladder = _ladder(server.port, seed, keys, 0.15 * seconds, connections)
+            ladder = _ladder(server.port, seed, keys, connections)
             out.detail["ladder"] = ladder
             replay = _AppReplay(store, tracer)
             try:
@@ -363,14 +421,14 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
                 replay.close()
             errors = sum(1 for status, _ in pairs.outputs if status != 200)
             out.record([] if pairs.equal else ["trace: traced replies differ from untraced"])
-            out.values = layers.layer_values(tracer, len(pairs.outputs))
+            out.values = layers.layer_values(tracer, len(pairs.outputs), LAYERS)
             out.values.update({
                 "serving.fallback_frac":
                     fallback_points / total_points if total_points else 0.0,
                 "serving.cache.hit_rate": float(cache.get("hit_rate") or 0.0),
                 "service.errors": float(errors + sum(
                     1 for status in load.status if status != 200)),
-                "http.gen_lag_p99_ms": 1e3 * _tail(load.gen_lag_s),
+                "http.gen_lag_p99_ms": 1e3 * _tail(load.gen_lag_s)[1],
                 "http.backlog_max": float(load.backlog_max),
                 "http.max_rate_rps": max(
                     [step["rate_rps"] for step in ladder if step["ok"]], default=0.0),
@@ -383,18 +441,22 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
             server.stop()
         shutil.rmtree(work, ignore_errors=True)
     if tracer is None:
-        # A server counts toward the children's peak only once reaped.
-        out.values["peak_rss_mb"] = peak_rss_mb(children=True)
+        out.values["peak_rss_mb"] = max(server.peak_rss_mb for server in servers)
     return out
 
 
-def _ladder(port: int, seed: int, keys: Dict[str, str], step_s: float,
+def _ladder(port: int, seed: int, keys: Dict[str, str],
             connections: int) -> List[Dict[str, object]]:
-    """Step the offered rate up until p99 or the backlog gives out."""
+    """Step the offered rate up until p99, an error or the backlog gives out.
+
+    Each rung lasts long enough for about ``LADDER_REQUESTS`` requests,
+    so p99 has ten samples beyond it; a rung that got fewer is judged on
+    the highest percentile that has, which its ``tail_pct`` records.
+    """
     steps = []
     for step, rate in enumerate(LADDER_RPS):
         offsets = loadgen.arrival_offsets(
-            np.random.default_rng([seed, 5, step]), rate, step_s)
+            np.random.default_rng([seed, 5, step]), rate, LADDER_REQUESTS / rate)
         queries = make_queries(seed + 7919 * (step + 1), len(offsets), keys)
         load = loadgen.run_open_loop(
             port, [loadgen.wire_request(q.body) for q in queries], offsets,
@@ -402,10 +464,10 @@ def _ladder(port: int, seed: int, keys: Dict[str, str], step_s: float,
         latency = [lat for lat, status in zip(load.latency_s, load.status)
                    if status == 200]
         errors = len(load.status) - len(latency)
-        p99 = _tail(latency) if latency else float("inf")
-        ok = errors == 0 and p99 <= P99_BUDGET_S and load.backlog_end <= connections
+        pct, tail = _tail(latency) if latency else (100.0, float("inf"))
+        ok = errors == 0 and tail <= P99_BUDGET_S and load.backlog_end <= connections
         steps.append({"rate_rps": rate, "requests": len(load.status),
-                      "errors": errors, "p99_s": p99,
+                      "errors": errors, "tail_pct": pct, "tail_s": tail,
                       "backlog_end": load.backlog_end, "ok": ok})
         if not ok:
             break

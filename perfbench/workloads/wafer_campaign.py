@@ -7,12 +7,14 @@ degree over 30 mm), generated from the workload seed.  One operation runs
 de-rating) and ``run_chip_wafer`` on the scale-0.05 placement (96 trials
 per die, one worker per CPU).  ``primary_ms`` is the median
 ``simulate_wafer`` pass, ``secondary_ms`` the median ``run_chip_wafer``
-pass, ``setup_s`` the median of three builds of wafer map and chip
-geometry.
+pass, ``setup_s`` the median of seven builds of wafer map and chip
+geometry, all at the reference host's speed
+(``perfbench.common.HostClock``).
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import List, Optional
 
@@ -33,12 +35,16 @@ from repro.netlist.placement import RowPlacement
 
 from perfbench import layers
 from perfbench.checks import check_chip_wafer, check_wafer
-from perfbench.common import median, nproc, peak_rss_mb, summarize
+from perfbench.common import HostClock, median, nproc, peak_rss_mb, summarize
 from perfbench.tracing import Tracer
 from perfbench.workloads import RunResult, timed, traced_pairs
 
-WHY = ("52-die correlated-field wafer: simulate_wafer's private kernel and the "
-       "pooled chip-wafer engine; primary = simulate_wafer, secondary = run_chip_wafer")
+#: Per-layer metrics this workload measures (see ``perfbench.metrics``).
+LAYERS = layers.ENGINE + (
+    "wafer_sim.simulate_wafer.busy_s", "wafer_sim.die_trials",
+    "wafer_sim.run_chip_wafer.busy_s", "wafer_sim.run_chip_wafer.scaling_eff",
+    "growth.wafer_generate.busy_s", "trace.overhead_frac",
+)
 
 MEAN_PITCH_NM = 4.0
 DIE_SIZE_MM = 10.0
@@ -49,7 +55,7 @@ DEVICE_COUNTS = (400.0, 300.0, 250.0, 200.0, 150.0)
 WAFER_TRIALS = 4096
 CHIP_SCALE = 0.05
 CHIP_TRIALS = 96
-SETUP_REPEATS = 3
+SETUP_REPEATS = 7
 
 
 def plan(seed: int, n: int) -> List[int]:
@@ -105,13 +111,21 @@ class ClosedForm:
 
 def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
     out = RunResult()
-    setup_times = []
-    for _ in range(SETUP_REPEATS):
-        start = time.perf_counter()
+
+    def build():
         wafer = generate_wafer(seed)
         chip = build_chip()
         chip.chip_geometry()
-        setup_times.append(time.perf_counter() - start)
+        return wafer, chip
+
+    clock = HostClock()
+    setup_times = []
+    for _ in range(SETUP_REPEATS):
+        # Every build starts from a collected heap, not from the garbage
+        # of the one before, whose collection would land in some builds.
+        gc.collect()
+        elapsed, (wafer, chip) = clock.timed(build)
+        setup_times.append(elapsed)
     closed = ClosedForm()
     pitch = ExponentialPitch(MEAN_PITCH_NM)
     workers = nproc()
@@ -156,18 +170,19 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
     if tracer is None:
         wafer_times, chip_times = [], []
         for op_seed in seeds:
-            wafer_s, wafer_result = timed(wafer_pass, op_seed)
-            chip_s, chip_result = timed(chip_pass, op_seed, workers)
+            wafer_s, wafer_result = clock.timed(wafer_pass, op_seed)
+            chip_s, chip_result = clock.timed(chip_pass, op_seed, workers)
             wafer_times.append(wafer_s)
             chip_times.append(chip_s)
             check(wafer_result, chip_result)
             if time.perf_counter() >= deadline:
                 break
         n_dice = wafer.die_count
+        scale = clock.scale()
         out.values = {
-            "setup_s": median(setup_times),
-            "primary_ms": 1e3 * median(wafer_times),
-            "secondary_ms": 1e3 * median(chip_times),
+            "setup_s": scale * median(setup_times),
+            "primary_ms": 1e3 * scale * median(wafer_times),
+            "secondary_ms": 1e3 * scale * median(chip_times),
             "peak_rss_mb": max(peak_rss_mb(), peak_rss_mb(children=True)),
         }
         out.detail.update({
@@ -176,6 +191,7 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
             "wafer_die_trials_per_s": n_dice * WAFER_TRIALS / median(wafer_times),
             "chip_wafer_die_trials_per_s":
                 n_dice * CHIP_TRIALS / median(chip_times),
+            "reference_s": summarize(clock.references),
         })
     else:
         serial_s = []
@@ -207,7 +223,7 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer]) -> RunResult:
         with tracer.span("growth.wafer_generate"):
             generate_wafer(seed)
         n_ops = len(pairs.outputs)
-        out.values = layers.layer_values(tracer, n_ops)
+        out.values = layers.layer_values(tracer, n_ops, LAYERS)
         out.values["growth.wafer_generate.busy_s"] = tracer.busy_s(
             "growth.wafer_generate")
         out.values["wafer_sim.die_trials"] = wafer.die_count * WAFER_TRIALS
