@@ -120,8 +120,8 @@ def summarise(runs: Runs) -> int:
 def diff(base: Runs, change: Runs) -> int:
     declared = declared_metrics()
     print(f"{'workload':16s} {'t':1s} {'metric':46s} {'base med':>12s} "
-          f"{'spread':>7s} {'change med':>12s} {'spread':>7s} "
-          f"{'delta':>8s} {'wins':>6s} verdict")
+          f"{'base q1-q3':>25s} {'spread':>7s} {'change med':>12s} "
+          f"{'change q1-q3':>25s} {'spread':>7s} {'delta':>8s} {'wins':>6s} verdict")
     for key in sorted(set(base) & set(change)):
         workload, trace, name = key
         spec = declared.get(name, {"better": "lower"})
@@ -130,13 +130,14 @@ def diff(base: Runs, change: Runs) -> int:
         common = sorted(set(b_by_seed) & set(c_by_seed))
         paired = [(b_by_seed[s], c_by_seed[s]) for s in common] or list(zip(b_vals, c_vals))
         wins = sum(1 for a, b in paired if _better(a, b, spec["better"]))
-        _, bmed, _ = quartiles(b_vals)
-        _, cmed, _ = quartiles(c_vals)
+        bq1, bmed, bq3 = quartiles(b_vals)
+        cq1, cmed, cq3 = quartiles(c_vals)
         delta = (cmed - bmed) / abs(bmed) if bmed else 0.0
         result = verdict(b_vals, c_vals, spec["better"], spec.get("bound"),
                          wins, len(paired))
         print(f"{workload:16s} {trace:1d} {name:46s} {bmed:12.6g} "
-              f"{spread(b_vals):7.2%} {cmed:12.6g} {spread(c_vals):7.2%} "
+              f"{bq1:12.6g}-{bq3:<12.6g} {spread(b_vals):7.2%} {cmed:12.6g} "
+              f"{cq1:12.6g}-{cq3:<12.6g} {spread(c_vals):7.2%} "
               f"{delta:8.2%} {wins:2d}/{len(paired):<3d} {result}")
     return 0
 
