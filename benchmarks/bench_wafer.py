@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.resilience.atomic import atomic_write_json
 from repro.analysis.mispositioned import MisalignmentImpactModel
-from repro.backend import get_backend
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import ExponentialPitch
 from repro.growth.spatial import SpatialFieldSpec
@@ -92,8 +91,9 @@ def _width_class_case(wafer, pitch, type_model, n_trials: int,
 
     loop_s = _time(lambda: per_die_loop(*args, **kwargs))
     stacked_s = _time(lambda: simulate_wafer(*args, **kwargs))
-    f32 = get_backend("numpy", dtype="float32")
-    stacked32_s = _time(lambda: simulate_wafer(*args, backend=f32, **kwargs))
+    stacked32_s = _time(
+        lambda: simulate_wafer(*args, dtype="float32", **kwargs)
+    )
 
     stacked = simulate_wafer(*args, **kwargs)
     loop = per_die_loop(*args, **kwargs)

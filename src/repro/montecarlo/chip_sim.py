@@ -39,15 +39,16 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 import repro.montecarlo.rare_event as rare_event
-from repro.backend import ArrayBackend, default_backend
 from repro.growth.pitch import GapTilt, PitchDistribution, pitch_distribution_from_cv
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.engine import (
     count_in_windows_flat,
     default_trial_chunk,
     estimate_gap_count,
+    resolve_dtype,
     run_chunked,
     sample_track_batch,
+    uniform_draws,
 )
 from repro.netlist.placement import PlacedInstance, RowPlacement
 from repro.resilience.guards import check_finite
@@ -156,7 +157,7 @@ class _ChipGeometry:
     window_weight: np.ndarray
     window_row: np.ndarray
     row_starts: np.ndarray
-    backend: Optional[ArrayBackend] = None
+    dtype: np.dtype = np.dtype(np.float64)
     short_probability: float = 0.0
     min_working_tubes: int = 1
 
@@ -201,13 +202,12 @@ def _chip_window_counts_joint(
     of the opens-only mode and ``q = 0`` runs are bitwise unchanged, as are
     the shared-kernel consumers (wafer tier, timing tier).
     """
-    xp = geometry.backend if geometry.backend is not None else default_backend()
     n_rows = geometry.n_rows
     batch = sample_track_batch(
         geometry.pitch, geometry.row_height_nm, n_chunk * n_rows, rng,
-        backend=xp,
+        dtype=geometry.dtype,
     )
-    u = xp.uniform(rng, batch.positions.shape)
+    u = uniform_draws(rng, batch.positions.shape, geometry.dtype)
     working = (u >= geometry.per_cnt_failure) & batch.valid
 
     n_windows = geometry.window_lo.size
@@ -217,27 +217,25 @@ def _chip_window_counts_joint(
     )
     lo = np.tile(geometry.window_lo, n_chunk)
     hi = np.tile(geometry.window_hi, n_chunk)
-    good = xp.to_numpy(count_in_windows_flat(
+    good = count_in_windows_flat(
         batch.positions,
         working,
         geometry.row_height_nm,
         lo,
         hi,
         trial_index,
-        backend=xp,
-    )).reshape(n_chunk, n_windows)
+    ).reshape(n_chunk, n_windows)
     if geometry.short_probability <= 0.0:
         return good, None
     shorting = (u < geometry.short_probability) & batch.valid
-    shorts = xp.to_numpy(count_in_windows_flat(
+    shorts = count_in_windows_flat(
         batch.positions,
         shorting,
         geometry.row_height_nm,
         lo,
         hi,
         trial_index,
-        backend=xp,
-    )).reshape(n_chunk, n_windows)
+    ).reshape(n_chunk, n_windows)
     return good, shorts
 
 
@@ -317,7 +315,6 @@ def _simulate_chip_chunk_tilted(
     probabilities) and per-trial failing-device expectations.
     """
     geometry = payload.geometry
-    xp = geometry.backend if geometry.backend is not None else default_backend()
     n_rows = geometry.n_rows
     batch = sample_track_batch(
         payload.tilt.tilted,
@@ -325,7 +322,7 @@ def _simulate_chip_chunk_tilted(
         n_chunk * n_rows,
         rng,
         offset_mean_nm=payload.tilt.nominal.mean_nm,
-        backend=xp,
+        dtype=geometry.dtype,
     )
     n_windows = geometry.window_lo.size
     trial_index = (
@@ -335,20 +332,18 @@ def _simulate_chip_chunk_tilted(
     hi = np.tile(geometry.window_hi, n_chunk)
     counts, stop_index = count_in_windows_flat(
         batch.positions,
-        xp.asarray(batch.valid, dtype=xp.dtype),
+        np.asarray(batch.valid, dtype=geometry.dtype),
         geometry.row_height_nm,
         np.tile(geometry.window_lo, n_chunk),
         hi,
         trial_index,
         return_stop_index=True,
-        backend=xp,
     )
     log_w = rare_event.window_stopped_log_weights(
         batch, payload.tilt, hi, trial_index, stop_index=stop_index,
-        backend=xp,
     )
-    values = xp.to_numpy(
-        xp.power(geometry.per_cnt_failure, counts) * xp.exp(log_w)
+    values = (
+        np.power(geometry.per_cnt_failure, counts) * np.exp(log_w)
     ).reshape(n_chunk, n_windows)
     row_sums = np.add.reduceat(values, geometry.row_starts, axis=1)
     device_sums = (values * geometry.window_weight).sum(axis=1)
@@ -377,11 +372,10 @@ class ChipMonteCarlo:
     small_width_threshold_nm:
         Devices at or below this width are counted as "small" in the
         statistics (mirrors the Mmin bookkeeping of the analytical model).
-    backend:
-        Array backend for the batched passes (see :mod:`repro.backend`).
-        ``None`` resolves the environment default at chunk-execution time
-        (``REPRO_BACKEND`` / ``REPRO_DTYPE``); an explicit backend pins the
-        run to it regardless of the environment.
+    dtype:
+        Storage dtype of the track positions, float64 or float32 (see
+        :func:`repro.montecarlo.engine.resolve_dtype`; ``None`` reads
+        ``REPRO_DTYPE``, then float64).
     min_working_tubes:
         Open threshold ``N_min``: a device fails open with fewer working
         tubes than this.  The short failure mode needs no extra knob here —
@@ -396,11 +390,11 @@ class ChipMonteCarlo:
         type_model: Optional[CNTTypeModel] = None,
         row_height_nm: Optional[float] = None,
         small_width_threshold_nm: float = 160.0,
-        backend: Optional[ArrayBackend] = None,
+        dtype=None,
         min_working_tubes: int = 1,
     ) -> None:
         self.placement = placement
-        self.backend = backend
+        self.dtype = resolve_dtype(dtype)
         self.pitch = pitch or pitch_distribution_from_cv(4.0, 1.0)
         self.type_model = type_model or CNTTypeModel()
         if int(min_working_tubes) < 1 or min_working_tubes != int(min_working_tubes):
@@ -496,7 +490,7 @@ class ChipMonteCarlo:
             window_weight=np.asarray(weight, dtype=np.int64),
             window_row=np.asarray(row_of_window, dtype=np.int64),
             row_starts=np.asarray(row_starts, dtype=np.int64),
-            backend=self.backend,
+            dtype=self.dtype,
             short_probability=self.type_model.surviving_metallic_probability,
             min_working_tubes=self.min_working_tubes,
         )
@@ -827,6 +821,7 @@ class ChipMonteCarlo:
             geometry.window_weight,
             geometry.window_row,
             repr(self.pitch),
+            geometry.dtype.name,
             rng.bit_generator.state,
             int(rng.bit_generator.seed_seq.n_children_spawned),
         )

@@ -27,19 +27,24 @@ array programs over a leading ``(n_trials, ...)`` batch axis:
   ``n_workers=4`` consumes exactly the same per-chunk streams as a serial
   run and produces bitwise-identical statistics.
 
-Backend dispatch
-----------------
-Every array kernel takes an optional ``backend``
-(:class:`repro.backend.ArrayBackend`); ``None`` resolves the
-environment-selected default (``REPRO_BACKEND`` / ``REPRO_DTYPE``, NumPy
-float64 out of the box).  The NumPy float64 path maps one-to-one onto the
-pre-dispatch implementation and is bit-identical to it; float32 and GPU
-policies are held to tolerance by the conformance suite under
-``tests/backend/``.  Search operands are explicitly cast to the positions
-dtype (:meth:`~repro.backend.ArrayBackend.cast_like`) — NumPy would
-silently promote a float32 haystack to float64 on every query batch, and
-torch refuses mixed-dtype searches outright — and band offsets are built
-in the positions dtype for the same reason.
+Dtype policy
+------------
+Track positions are stored in one of two floating dtypes: float64 (the
+reference, pinned bitwise by the golden fixture) or float32 (half the
+memory traffic on the banded searches).  Entry points take ``dtype=``;
+``None`` means the ``REPRO_DTYPE`` environment variable, then float64
+(:func:`resolve_dtype`).  Four rules keep the two policies comparable:
+
+* draws always consume the caller's generator in its native float64 and
+  are cast afterwards (:func:`uniform_draws`, :func:`sample_gaps`), so
+  both policies see the *same* random numbers;
+* window counts accumulate in float64 whatever the storage dtype
+  (:func:`prefix_sum`), as do likelihood-ratio weights;
+* search operands are cast to the positions dtype (:func:`match_dtype`) —
+  NumPy would otherwise silently promote a float32 haystack to float64
+  on every query batch;
+* a float32 band is promoted to float64 when its top offset is too large
+  for float32 to resolve a window edge (:func:`_banded_positions`).
 
 Workers receive ``(payload, n_chunk, stream)`` tuples through
 :func:`run_chunked`; the payload must be picklable (the simulators pass
@@ -49,17 +54,22 @@ small dataclasses of NumPy arrays plus the pitch/type models).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import ArrayBackend, default_backend
-from repro.growth.pitch import PitchDistribution
+from repro.growth.pitch import ExponentialPitch, GammaPitch, PitchDistribution
 from repro.units import ensure_positive
 
 __all__ = [
+    "resolve_dtype",
+    "match_dtype",
+    "uniform_draws",
+    "sample_gaps",
+    "prefix_sum",
     "TrackBatch",
     "estimate_gap_count",
     "sample_track_batch",
@@ -78,6 +88,91 @@ __all__ = [
 #: (≈32 MB of float64 per matrix), keeping peak memory flat regardless of
 #: the requested trial count.
 DEFAULT_BATCH_ELEMENTS: int = 1 << 22
+
+_DTYPE_NAMES = {
+    "float32": np.float32,
+    "float64": np.float64,
+    "f32": np.float32,
+    "f64": np.float64,
+}
+
+
+def resolve_dtype(dtype=None) -> np.dtype:
+    """Normalise a dtype policy (name, NumPy dtype, or ``None``) to a dtype.
+
+    ``None`` selects the ``REPRO_DTYPE`` environment variable, then
+    float64.  Only the engine's two floating policies are accepted;
+    anything else is a configuration error worth failing loudly on.
+    """
+    if dtype is None:
+        dtype = os.environ.get("REPRO_DTYPE", "float64")
+    if isinstance(dtype, str):
+        try:
+            dtype = _DTYPE_NAMES[dtype.lower()]
+        except KeyError:
+            raise ValueError(
+                f"unknown dtype policy {dtype!r}; expected one of "
+                f"{sorted(set(_DTYPE_NAMES))}"
+            ) from None
+    dt = np.dtype(dtype)
+    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ValueError(
+            f"dtype policy must be float32 or float64, got {dt}"
+        )
+    return dt
+
+
+def match_dtype(values, like: np.ndarray) -> np.ndarray:
+    """Cast ``values`` to the dtype of ``like`` (no copy when it already matches).
+
+    The explicit cast for ``searchsorted`` needles: NumPy silently
+    promotes a float32 haystack + float64 needle to float64, a full-array
+    upcast on the hot path.  Casting the *queries* (the small side) to the
+    *positions* dtype keeps the search in the policy dtype, and is a no-op
+    in float64.
+    """
+    return np.asarray(values, dtype=like.dtype)
+
+
+def uniform_draws(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+    """U(0, 1) draws of ``shape`` from ``rng`` in float64, cast to ``dtype``."""
+    return np.asarray(rng.random(shape), dtype=dtype)
+
+
+def sample_gaps(
+    pitch: PitchDistribution, shape, rng: np.random.Generator, dtype, out=None
+) -> np.ndarray:
+    """Inter-CNT gap draws from ``pitch`` of ``shape``, cast to ``dtype``.
+
+    ``out`` is an optional destination view.  At float64, exponential and
+    gamma gaps are drawn straight into it (``Generator.exponential(scale)``
+    / ``gamma(k, scale)`` are exactly ``standard_* * scale`` on the same
+    stream, so the values match the generic path).  Otherwise ``out`` is
+    ignored and a fresh array is returned — callers must use the
+    *returned* array either way.
+    """
+    if out is not None and dtype == np.dtype(np.float64):
+        if isinstance(pitch, ExponentialPitch):
+            rng.standard_exponential(size=shape, out=out)
+            out *= pitch.mean_pitch_nm
+            return out
+        if isinstance(pitch, GammaPitch):
+            rng.standard_gamma(pitch.shape, size=shape, out=out)
+            out *= pitch.scale_nm
+            return out
+    return np.asarray(pitch.sample_batch(shape, rng), dtype=dtype)
+
+
+def prefix_sum(values: np.ndarray) -> np.ndarray:
+    """Zero-prefixed inclusive cumulative sum, accumulated in float64.
+
+    Element ``i`` of the ``len(values) + 1`` result is ``sum(values[:i])``.
+    Window counting is the step most sensitive to float32 rounding, so it
+    accumulates in float64 under either dtype policy.
+    """
+    out = np.zeros(values.shape[0] + 1, dtype=np.float64)
+    np.cumsum(values, out=out[1:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,7 +199,7 @@ class TrackBatch:
 
     @property
     def dtype(self):
-        """Storage dtype of the track positions (the backend's policy dtype)."""
+        """Storage dtype of the track positions (the dtype policy)."""
         return self.positions.dtype
 
     def counts(self) -> np.ndarray:
@@ -133,7 +228,7 @@ def sample_track_batch(
     n_trials: int,
     rng: np.random.Generator,
     offset_mean_nm: Optional[float] = None,
-    backend: Optional[ArrayBackend] = None,
+    dtype=None,
 ) -> TrackBatch:
     """Sample the CNT tracks of ``n_trials`` independent rows in one pass.
 
@@ -145,27 +240,28 @@ def sample_track_batch(
     ``u``.  The rare-event importance sampler passes the *nominal* pitch mean
     here while ``pitch`` itself is the tilted distribution, so the offset law
     is common to both measures and only the gaps enter the likelihood ratio.
+    ``dtype`` is the positions' dtype policy (see :func:`resolve_dtype`).
     """
-    xp = backend if backend is not None else default_backend()
+    dtype = resolve_dtype(dtype)
     ensure_positive(span_nm, "span_nm")
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     if offset_mean_nm is None:
         offset_mean_nm = pitch.mean_nm
     ensure_positive(offset_mean_nm, "offset_mean_nm")
-    start_offsets = xp.uniform(rng, n_trials) * offset_mean_nm
+    start_offsets = uniform_draws(rng, n_trials, dtype) * offset_mean_nm
     n_gaps = estimate_gap_count(pitch, span_nm)
-    gaps = xp.sample_gaps(pitch, (n_trials, n_gaps), rng)
-    positions = xp.cumsum(gaps, axis=1)
+    gaps = sample_gaps(pitch, (n_trials, n_gaps), rng, dtype)
+    positions = np.cumsum(gaps, axis=1)
     positions -= start_offsets[:, None]
     # Top up the rare trials whose gap budget did not clear the span.  The
     # extra draws are appended for every trial (keeping the array
     # rectangular); out-of-span tracks are masked below either way.
-    while xp.any(positions[:, -1] <= span_nm):
+    while np.any(positions[:, -1] <= span_nm):
         block = max(16, n_gaps // 4)
-        extra = xp.sample_gaps(pitch, (n_trials, block), rng)
-        tail = positions[:, -1][:, None] + xp.cumsum(extra, axis=1)
-        positions = xp.concatenate([positions, tail], axis=1)
+        extra = sample_gaps(pitch, (n_trials, block), rng, dtype)
+        tail = positions[:, -1][:, None] + np.cumsum(extra, axis=1)
+        positions = np.concatenate([positions, tail], axis=1)
     valid = (positions >= 0.0) & (positions <= span_nm)
     return TrackBatch(
         positions=positions,
@@ -181,15 +277,13 @@ def sample_track_counts(
     n_trials: int,
     rng: np.random.Generator,
     batch_elements: int = DEFAULT_BATCH_ELEMENTS,
-    backend: Optional[ArrayBackend] = None,
+    dtype=None,
 ) -> np.ndarray:
     """Per-trial count of tracks captured by a span, shape ``(n_trials,)``.
 
     Internally chunks the trial axis so peak memory stays bounded by
-    ``batch_elements`` regardless of ``n_trials``.  Counts are returned on
-    the host (NumPy int64) whatever the backend.
+    ``batch_elements`` regardless of ``n_trials``.
     """
-    xp = backend if backend is not None else default_backend()
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     per_trial = max(1, estimate_gap_count(pitch, span_nm))
@@ -198,15 +292,15 @@ def sample_track_counts(
     done = 0
     while done < n_trials:
         n = min(chunk, n_trials - done)
-        counts[done:done + n] = xp.to_numpy(
-            sample_track_batch(pitch, span_nm, n, rng, backend=xp).counts()
-        )
+        counts[done:done + n] = sample_track_batch(
+            pitch, span_nm, n, rng, dtype=dtype
+        ).counts()
         done += n
     return counts
 
 
 def _banded_positions(
-    positions: np.ndarray, span_nm: float, xp: ArrayBackend
+    positions: np.ndarray, span_nm: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten sorted trial rows into one globally sorted banded array.
 
@@ -227,13 +321,13 @@ def _banded_positions(
     pad = 1.0
     stride = span_nm + 4.0 * pad
     band_dtype = positions.dtype
-    if xp.dtype == np.dtype(np.float32):
+    if band_dtype == np.dtype(np.float32):
         top_offset = np.float32((positions.shape[0] - 1) * stride)
         if np.spacing(top_offset) > pad / 8.0:
             band_dtype = np.dtype(np.float64)
-            positions = xp.asarray(positions, dtype=band_dtype)
-    offsets = xp.arange(positions.shape[0], dtype=band_dtype) * stride
-    flat = xp.ravel(xp.clip(positions, -pad, span_nm + pad) + offsets[:, None])
+            positions = np.asarray(positions, dtype=band_dtype)
+    offsets = np.arange(positions.shape[0], dtype=band_dtype) * stride
+    flat = np.ravel(np.clip(positions, -pad, span_nm + pad) + offsets[:, None])
     return flat, offsets
 
 
@@ -242,7 +336,6 @@ def window_stop_indices(
     span_nm: float,
     hi: np.ndarray,
     trial_index: np.ndarray,
-    backend: Optional[ArrayBackend] = None,
 ) -> np.ndarray:
     """Per-query slot index of the first track strictly above ``hi``.
 
@@ -250,10 +343,9 @@ def window_stop_indices(
     slot; :func:`sample_track_batch` guarantees the index exists for any
     bound inside the span (the last slot always clears it).
     """
-    xp = backend if backend is not None else default_backend()
-    flat, offsets = _banded_positions(positions, span_nm, xp)
-    right = xp.searchsorted(
-        flat, xp.cast_like(hi, flat) + xp.take(offsets, trial_index),
+    flat, offsets = _banded_positions(positions, span_nm)
+    right = np.searchsorted(
+        flat, match_dtype(hi, flat) + np.take(offsets, trial_index),
         side="right",
     )
     return right - trial_index * positions.shape[1]
@@ -267,7 +359,6 @@ def count_in_windows_flat(
     hi: np.ndarray,
     trial_index: np.ndarray,
     return_stop_index: bool = False,
-    backend: Optional[ArrayBackend] = None,
 ):
     """Weighted track counts for an arbitrary flat list of window queries.
 
@@ -293,16 +384,15 @@ def count_in_windows_flat(
         sampler needs both).
 
     Returns the weighted count per query, shape ``(n_queries,)`` (plus the
-    stop indices when requested).  Counts accumulate in the backend's
-    ``accum_dtype`` (float64 by default, even under a float32 policy).
+    stop indices when requested).  Counts accumulate in float64, even
+    under the float32 policy.
     """
-    xp = backend if backend is not None else default_backend()
-    flat, offsets = _banded_positions(positions, span_nm, xp)
-    prefix = xp.prefix_sum(xp.ravel(weights))
-    shift = xp.take(offsets, trial_index)
-    left = xp.searchsorted(flat, xp.cast_like(lo, flat) + shift, side="left")
-    right = xp.searchsorted(flat, xp.cast_like(hi, flat) + shift, side="right")
-    counts = xp.take(prefix, right) - xp.take(prefix, left)
+    flat, offsets = _banded_positions(positions, span_nm)
+    prefix = prefix_sum(np.ravel(weights))
+    shift = np.take(offsets, trial_index)
+    left = np.searchsorted(flat, match_dtype(lo, flat) + shift, side="left")
+    right = np.searchsorted(flat, match_dtype(hi, flat) + shift, side="right")
+    counts = np.take(prefix, right) - np.take(prefix, left)
     if return_stop_index:
         return counts, right - trial_index * positions.shape[1]
     return counts
@@ -313,7 +403,6 @@ def count_in_windows(
     weights: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    backend: Optional[ArrayBackend] = None,
 ) -> np.ndarray:
     """Weighted track counts on a regular ``(n_trials, n_windows)`` grid.
 
@@ -321,7 +410,6 @@ def count_in_windows(
     trial) or ``(n_trials, n_windows)`` (per-trial windows, e.g. random
     device offsets).  Returns counts of shape ``(n_trials, n_windows)``.
     """
-    xp = backend if backend is not None else default_backend()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim == 1:
@@ -341,9 +429,8 @@ def count_in_windows(
         lo.ravel(),
         hi.ravel(),
         trial_index,
-        backend=xp,
     )
-    return xp.reshape(counts, (n_trials, n_windows))
+    return counts.reshape(n_trials, n_windows)
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import ArrayBackend, default_backend
 from repro.growth.pitch import GapTilt, PitchDistribution
 from repro.montecarlo.engine import (
     DEFAULT_BATCH_ELEMENTS,
@@ -63,6 +62,7 @@ from repro.montecarlo.engine import (
     count_in_windows,
     default_trial_chunk,
     estimate_gap_count,
+    resolve_dtype,
     run_chunked,
     sample_track_batch,
     window_stop_indices,
@@ -254,19 +254,16 @@ def resolve_tilt(
 # ----------------------------------------------------------------------
 
 
-def _affine_log_weights(
-    tilt: GapTilt, n_gaps, gap_sum, xp: ArrayBackend
-):
-    """``log dP_nominal/dP_tilted`` as the tilt's affine form, on-backend.
+def _affine_log_weights(tilt: GapTilt, n_gaps, gap_sum):
+    """``log dP_nominal/dP_tilted`` as the tilt's affine form.
 
     Mirrors :meth:`repro.growth.pitch.GapTilt.log_likelihood_ratio` but
-    accumulates in the backend's ``accum_dtype`` (likelihood-ratio
-    accumulation is the float32 policy's most rounding-sensitive step, so
-    it stays in float64 unless explicitly lowered).
+    accumulates in float64 whatever the positions dtype (likelihood-ratio
+    accumulation is the float32 policy's most rounding-sensitive step).
     """
     return (
-        xp.asarray(n_gaps, dtype=xp.accum_dtype) * tilt.log_const_per_gap
-        + xp.asarray(gap_sum, dtype=xp.accum_dtype) * tilt.log_slope_per_nm
+        np.asarray(n_gaps, dtype=np.float64) * tilt.log_const_per_gap
+        + np.asarray(gap_sum, dtype=np.float64) * tilt.log_slope_per_nm
     )
 
 
@@ -275,7 +272,7 @@ def sample_weighted_track_batch(
     span_nm: float,
     n_trials: int,
     rng: np.random.Generator,
-    backend: Optional[ArrayBackend] = None,
+    dtype=None,
 ) -> Tuple[TrackBatch, np.ndarray]:
     """Sample tilted renewal trials and their full-span log weights.
 
@@ -285,24 +282,24 @@ def sample_weighted_track_batch(
     ``log dP_nominal/dP_tilted`` of the trajectory stopped at the first
     track strictly beyond ``span_nm`` — a stopping time of the gap
     filtration, hence unbiased for any functional of the in-span tracks.
+    ``dtype`` is the positions' dtype policy.
     """
-    xp = backend if backend is not None else default_backend()
     batch = sample_track_batch(
         tilt.tilted,
         span_nm,
         n_trials,
         rng,
         offset_mean_nm=tilt.nominal.mean_nm,
-        backend=xp,
+        dtype=dtype,
     )
     positions = batch.positions
     # First slot strictly beyond the span: rows are sorted and the engine
     # guarantees the last slot cleared the span, so the index always exists.
-    stop_index = xp.sum(positions <= span_nm, axis=1)
-    rows = xp.arange(positions.shape[0])
-    gap_sum = xp.take_pairs(positions, rows, stop_index) + batch.start_offsets
+    stop_index = np.sum(positions <= span_nm, axis=1)
+    rows = np.arange(positions.shape[0])
+    gap_sum = positions[rows, stop_index] + batch.start_offsets
     n_gaps = stop_index + 1
-    log_w = _affine_log_weights(tilt, n_gaps, gap_sum, xp)
+    log_w = _affine_log_weights(tilt, n_gaps, gap_sum)
     return batch, log_w
 
 
@@ -312,7 +309,6 @@ def window_stopped_log_weights(
     hi: np.ndarray,
     trial_index: np.ndarray,
     stop_index: Optional[np.ndarray] = None,
-    backend: Optional[ArrayBackend] = None,
 ) -> np.ndarray:
     """Per-query log weights stopped at each query's own upper bound.
 
@@ -328,7 +324,6 @@ def window_stopped_log_weights(
     counting pass (``count_in_windows_flat(..., return_stop_index=True)``)
     instead of paying a second banded searchsorted.
     """
-    xp = backend if backend is not None else default_backend()
     positions = batch.positions
     if batch.start_offsets is None:
         raise ValueError("batch must carry start_offsets (engine-sampled)")
@@ -337,12 +332,12 @@ def window_stopped_log_weights(
         raise ValueError("window upper bounds must lie inside the span")
     if stop_index is None:
         stop_index = window_stop_indices(
-            positions, batch.span_nm, hi, trial_index, backend=xp
+            positions, batch.span_nm, hi, trial_index
         )
-    gap_sum = (xp.take_pairs(positions, trial_index, stop_index)
-               + xp.take(batch.start_offsets, trial_index))
+    gap_sum = (positions[trial_index, stop_index]
+               + np.take(batch.start_offsets, trial_index))
     n_gaps = stop_index + 1
-    return _affine_log_weights(tilt, n_gaps, gap_sum, xp)
+    return _affine_log_weights(tilt, n_gaps, gap_sum)
 
 
 # ----------------------------------------------------------------------
@@ -357,21 +352,20 @@ class _TiltedDevicePayload:
     tilt: GapTilt
     width_nm: float
     per_cnt_failure: float
-    backend: Optional[ArrayBackend] = None
+    dtype: np.dtype = np.dtype(np.float64)
 
 
 def _device_tilted_chunk(
     payload: _TiltedDevicePayload, n_chunk: int, rng: np.random.Generator
 ) -> Tuple[np.ndarray]:
     """One chunk of tilted device trials: per-trial contributions."""
-    xp = payload.backend if payload.backend is not None else default_backend()
     batch, log_w = sample_weighted_track_batch(
-        payload.tilt, payload.width_nm, n_chunk, rng, backend=xp
+        payload.tilt, payload.width_nm, n_chunk, rng, dtype=payload.dtype
     )
-    values = xp.power(
-        payload.per_cnt_failure, xp.asarray(batch.counts(), dtype=xp.accum_dtype)
+    values = np.power(
+        payload.per_cnt_failure, np.asarray(batch.counts(), dtype=np.float64)
     )
-    return (xp.to_numpy(values * xp.exp(log_w)),)
+    return (values * np.exp(log_w),)
 
 
 def _default_trial_chunk(
@@ -389,7 +383,7 @@ def sample_tilted_contributions(
     per_cnt_failure: float,
     n_samples: int,
     rng: np.random.Generator,
-    backend: Optional[ArrayBackend] = None,
+    dtype=None,
 ) -> np.ndarray:
     """Per-trial contributions ``pf^N · w`` for ``n_samples`` tilted trials.
 
@@ -403,7 +397,7 @@ def sample_tilted_contributions(
         raise ValueError("n_samples must be positive")
     payload = _TiltedDevicePayload(
         tilt=tilt, width_nm=float(span_nm),
-        per_cnt_failure=float(per_cnt_failure), backend=backend,
+        per_cnt_failure=float(per_cnt_failure), dtype=resolve_dtype(dtype),
     )
     chunk = _default_trial_chunk(tilt.tilted, span_nm, n_samples)
     contributions = np.empty(n_samples)
@@ -424,7 +418,7 @@ def estimate_device_failure_tilted(
     tilt_factor: Optional[float] = None,
     trial_chunk: Optional[int] = None,
     n_workers: int = 1,
-    backend: Optional[ArrayBackend] = None,
+    dtype=None,
 ) -> WeightedEstimate:
     """Importance-sampled device failure probability pF(W) — the tail path.
 
@@ -441,7 +435,7 @@ def estimate_device_failure_tilted(
         trial_chunk = _default_trial_chunk(tilt.tilted, width_nm, n_samples)
     payload = _TiltedDevicePayload(
         tilt=tilt, width_nm=float(width_nm),
-        per_cnt_failure=float(per_cnt_failure), backend=backend,
+        per_cnt_failure=float(per_cnt_failure), dtype=resolve_dtype(dtype),
     )
     chunks = run_chunked(
         _device_tilted_chunk,

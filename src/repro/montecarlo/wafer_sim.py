@@ -79,7 +79,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.mispositioned import MisalignmentImpactModel
-from repro.backend import ArrayBackend, default_backend
 from repro.montecarlo.chip_sim import (
     ChipMonteCarlo,
     _ChipGeometry,
@@ -93,7 +92,10 @@ from repro.montecarlo.engine import (
     DEFAULT_BATCH_ELEMENTS,
     default_trial_chunk,
     estimate_gap_count,
+    resolve_dtype,
     run_chunked,
+    sample_gaps,
+    uniform_draws,
 )
 from repro.resilience.guards import check_finite
 from repro.units import ensure_positive
@@ -260,7 +262,7 @@ def _tight_gap_budget(pitch: PitchDistribution, span_nm: float) -> int:
     return BLOCK * (-(-n0 // BLOCK))
 
 
-def _blocked_count_leq(g3, prefix, bounds, xp: ArrayBackend):
+def _blocked_count_leq(g3, prefix, bounds):
     """Per-row count of renewal positions ``<= bound`` via a two-level scan.
 
     ``g3`` is the gap cube reshaped ``(rows, K, BLOCK)``, ``prefix`` the
@@ -273,20 +275,20 @@ def _blocked_count_leq(g3, prefix, bounds, xp: ArrayBackend):
     rows padded with ``inf`` (padding never counts).
     """
     n_blocks = prefix.shape[1]
-    if not xp.any(prefix[:, 0] <= bounds):
+    if not np.any(prefix[:, 0] <= bounds):
         # Every bound sits inside the first block (true for the renewal
         # convention's lower bounds, which live below one mean pitch):
         # no crossing-block search, no gather — same result bitwise.
-        inner = xp.cumsum(g3[:, 0], axis=1)
-        return xp.sum(inner <= bounds[:, None], axis=1)
+        inner = np.cumsum(g3[:, 0], axis=1)
+        return np.sum(inner <= bounds[:, None], axis=1)
     below = prefix <= bounds[:, None]
-    m = xp.clip(xp.sum(below, axis=1), 0, n_blocks - 1)
-    rows = xp.arange(prefix.shape[0])
-    start = xp.where(
-        m > 0, xp.take_pairs(prefix, rows, xp.clip(m - 1, 0, n_blocks - 1)), 0.0
+    m = np.clip(np.sum(below, axis=1), 0, n_blocks - 1)
+    rows = np.arange(prefix.shape[0])
+    start = np.where(
+        m > 0, prefix[rows, np.clip(m - 1, 0, n_blocks - 1)], 0.0
     )
-    inner = xp.cumsum(xp.take_pairs(g3, rows, m), axis=1)
-    return m * BLOCK + xp.sum(inner <= (bounds - start)[:, None], axis=1)
+    inner = np.cumsum(g3[rows, m], axis=1)
+    return m * BLOCK + np.sum(inner <= (bounds - start)[:, None], axis=1)
 
 
 @dataclass(frozen=True)
@@ -304,7 +306,7 @@ class _WaferPayload:
     device_counts: Tuple[float, ...]
     n_trials: int
     seed_key: Tuple[int, ...]
-    backend: Optional[ArrayBackend] = None
+    dtype: np.dtype = np.dtype(np.float64)
     misalignment: Optional[MisalignmentImpactModel] = None
     short_probability: float = 0.0
 
@@ -336,7 +338,7 @@ def _simulate_die_group(
     the whole stack.  Every per-die quantity depends only on that die's
     own stream and budget, so group composition cannot change results.
     """
-    xp = payload.backend if payload.backend is not None else default_backend()
+    dtype = payload.dtype
     n_trials = payload.n_trials
     widths = payload.widths_nm
     w_max = max(widths)
@@ -347,57 +349,55 @@ def _simulate_die_group(
     s_max = max(budgets)
     n_rows = n_dies * n_trials
 
-    gaps = xp.empty((n_rows, s_max))
-    lo = xp.zeros(n_rows)
+    gaps = np.empty((n_rows, s_max), dtype=dtype)
+    lo = np.zeros(n_rows, dtype=dtype)
     streams = []
     for i, (site, pitch) in enumerate(zip(sites, pitches)):
         rng = die_stream(payload.seed_key, site)
         rows = slice(i * n_trials, (i + 1) * n_trials)
-        lo[rows] = xp.uniform(rng, n_trials) * pitch.mean_nm
+        lo[rows] = uniform_draws(rng, n_trials, dtype) * pitch.mean_nm
         if budgets[i] == s_max:
-            # Contiguous destination: the backend may draw straight into
-            # the stack without an intermediate allocation.
+            # Contiguous destination: float64 exponential/gamma gaps are
+            # drawn straight into the stack without an intermediate array.
             view = gaps[rows]
-            drawn = xp.sample_gaps(pitch, (n_trials, s_max), rng, out=view)
+            drawn = sample_gaps(pitch, (n_trials, s_max), rng, dtype, out=view)
             if drawn is not view:
                 gaps[rows] = drawn
         else:
-            gaps[rows, : budgets[i]] = xp.sample_gaps(
-                pitch, (n_trials, budgets[i]), rng
+            gaps[rows, : budgets[i]] = sample_gaps(
+                pitch, (n_trials, budgets[i]), rng, dtype
             )
             # Padding slots never count: +inf sits above every bound.
             gaps[rows, budgets[i]:] = np.inf
         streams.append(rng)
 
-    g3 = xp.reshape(gaps, (n_rows, s_max // BLOCK, BLOCK))
+    g3 = gaps.reshape(n_rows, s_max // BLOCK, BLOCK)
     # Block sums as a matvec with ones: same reduction, ~3x faster than a
     # short-axis ``sum`` (NumPy's reduce is slow on 8-wide inner loops).
-    prefix = xp.cumsum(g3 @ xp.full((BLOCK,), 1.0), axis=1)
+    prefix = np.cumsum(g3 @ np.full((BLOCK,), 1.0, dtype=dtype), axis=1)
 
-    n_lo = xp.to_numpy(_blocked_count_leq(g3, prefix, lo, xp))
+    n_lo = _blocked_count_leq(g3, prefix, lo)
     n_hi = np.empty((len(widths), n_rows), dtype=np.int64)
     for q, width in enumerate(widths):
-        n_hi[q] = xp.to_numpy(
-            _blocked_count_leq(g3, prefix, lo + width, xp)
-        )
+        n_hi[q] = _blocked_count_leq(g3, prefix, lo + width)
 
     # Exact top-up: trials whose budget did not clear their widest window
     # continue drawing BLOCK-wide chunks from their own die stream.  Extra
     # tracks sit strictly above the die's cleared total, so adding
     # ``#(extra <= hi_q) - #(extra <= lo)`` is a no-op for every window
     # the main budget already cleared.
-    lo_np = xp.to_numpy(lo).astype(float)
+    lo_np = lo.astype(float)
     for i, site in enumerate(sites):
         rows = slice(i * n_trials, (i + 1) * n_trials)
         k_i = budgets[i] // BLOCK
-        total = xp.to_numpy(prefix[rows, k_i - 1]).astype(float)
+        total = prefix[rows, k_i - 1].astype(float)
         hi_max = lo_np[rows] + w_max
         alive = np.flatnonzero(total <= hi_max)
         run = total[alive]
         while alive.size:
             extra = np.cumsum(
-                xp.to_numpy(
-                    xp.sample_gaps(pitches[i], (alive.size, BLOCK), streams[i])
+                sample_gaps(
+                    pitches[i], (alive.size, BLOCK), streams[i], dtype
                 ).astype(float),
                 axis=1,
             ) + run[:, None]
@@ -503,7 +503,7 @@ def _assemble_group(
     relaxations = _die_relaxations(payload.misalignment, sites)
     if relaxations is not None:
         values = values / relaxations[None, :, None]
-    # A NaN here (poisoned draw, corrupt backend buffer) would silently
+    # A NaN here (poisoned draw, corrupt buffer) would silently
     # spread through every per-die statistic; fail loudly instead.
     check_finite(values, "wafer.die_group.values")
     n_trials = values.shape[2]
@@ -661,7 +661,7 @@ def simulate_die(
     device_counts=None,
     n_trials: int = 1024,
     seed_key: Sequence[int] = (20100616,),
-    backend: Optional[ArrayBackend] = None,
+    dtype=None,
     misalignment: Optional[MisalignmentImpactModel] = None,
 ) -> DieYieldEstimate:
     """Simulate one die independently — the per-die reference of the runner.
@@ -675,7 +675,7 @@ def simulate_die(
     ----------
     site:
         The die position and local growth statistics to simulate.
-    pitch, type_model, widths_nm, device_counts, n_trials, seed_key, backend:
+    pitch, type_model, widths_nm, device_counts, n_trials, seed_key, dtype:
         As for :func:`simulate_wafer`.
     misalignment:
         Optional analytic de-rating model; when given, the die's failure
@@ -697,7 +697,7 @@ def simulate_die(
         device_counts=counts,
         n_trials=int(n_trials),
         seed_key=tuple(int(part) for part in seed_key),
-        backend=backend,
+        dtype=resolve_dtype(dtype),
         misalignment=misalignment,
         short_probability=type_model.surviving_metallic_probability,
     )
@@ -714,7 +714,7 @@ def simulate_wafer(
     seed_key: Sequence[int] = (20100616,),
     good_die_threshold: float = 0.5,
     n_workers: int = 1,
-    backend: Optional[ArrayBackend] = None,
+    dtype=None,
     misalignment: Optional[MisalignmentImpactModel] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = True,
@@ -746,9 +746,10 @@ def simulate_wafer(
     n_workers:
         Processes to spread die groups over (groups are element-budget
         bounded either way; results are bitwise identical for any value).
-    backend:
-        Array backend for the stacked passes (``None`` = environment
-        default).
+    dtype:
+        Storage dtype of the stacked gaps, float64 or float32 (``None``
+        reads ``REPRO_DTYPE``, then float64; see
+        :func:`repro.montecarlo.engine.resolve_dtype`).
     misalignment:
         Optional :class:`~repro.analysis.mispositioned.MisalignmentImpactModel`.
         When given, every die's failure values are divided by the Sec. 3
@@ -794,7 +795,7 @@ def simulate_wafer(
         device_counts=counts,
         n_trials=int(n_trials),
         seed_key=tuple(int(part) for part in seed_key),
-        backend=backend,
+        dtype=resolve_dtype(dtype),
         misalignment=misalignment,
         short_probability=type_model.surviving_metallic_probability,
     )
@@ -824,7 +825,7 @@ def simulate_wafer(
                     payload.device_counts,
                     payload.n_trials,
                     payload.seed_key,
-                    repr(payload.backend),
+                    payload.dtype.name,
                     repr(payload.misalignment),
                     float(payload.short_probability),
                     int(group),
@@ -1228,7 +1229,7 @@ def run_chip_wafer(
         ``chip.pitch.with_mean(site.mean_pitch_nm)``.
     chip:
         The placed-design simulator whose geometry (and nominal pitch,
-        type model, backend) the wafer run shares.
+        type model, dtype) the wafer run shares.
     n_trials:
         Whole-chip fabrication trials per die.
     seed_key:
@@ -1305,7 +1306,7 @@ def run_chip_wafer(
                 payload.seed_key,
                 payload.trial_chunk,
                 repr(payload.misalignment),
-                repr(geometry.backend),
+                geometry.dtype.name,
                 float(geometry.per_cnt_failure),
                 float(geometry.short_probability),
                 int(geometry.min_working_tubes),
@@ -1377,7 +1378,7 @@ def chip_per_die_loop(
             type_model=chip.type_model,
             row_height_nm=chip.row_height_nm,
             small_width_threshold_nm=chip.small_width_threshold_nm,
-            backend=chip.backend,
+            dtype=chip.dtype,
             min_working_tubes=chip.min_working_tubes,
         )
         result = mc.run(n_trials, chip_die_stream(seed_key, site))

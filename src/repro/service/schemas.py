@@ -43,11 +43,15 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _float_array(value: object, name: str) -> np.ndarray:
-    _require(isinstance(value, (list, tuple, int, float)), f"{name} must be a number or list of numbers")
-    try:
-        array = np.atleast_1d(np.asarray(value, dtype=float)).ravel()
-    except (TypeError, ValueError):
-        raise SchemaError(f"{name} must contain only numbers") from None
+    items = value if isinstance(value, (list, tuple)) else (value,)
+    # Checked per distinct element type, not per element.  JSON booleans
+    # decode to ``bool``, a subclass of ``int``: not a number here.
+    _require(
+        all(issubclass(t, (int, float)) and not issubclass(t, bool)
+            for t in set(map(type, items))),
+        f"{name} must be a number or a flat list of numbers",
+    )
+    array = np.asarray(items, dtype=float)
     _require(array.size >= 1, f"{name} must not be empty")
     _require(array.size <= MAX_BATCH, f"{name} exceeds the {MAX_BATCH}-point batch cap")
     _require(bool(np.isfinite(array).all()), f"{name} must contain only finite numbers")

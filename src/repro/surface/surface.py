@@ -271,7 +271,7 @@ class SurfaceStore:
         """Resolve a key — or an unambiguous prefix of one — to a path."""
         matches = [k for k in self.keys() if k == key or k.startswith(key)]
         if not matches:
-            raise KeyError(f"no surface matching {key!r} under {self.root}")
+            raise KeyError(f"no surface matching {key!r}")
         if len(matches) > 1:
             raise KeyError(f"ambiguous surface key {key!r}: {matches}")
         return self.root / f"{matches[0]}.npz"

@@ -1,15 +1,15 @@
 """Seeded golden-value regression against the frozen engine fixture.
 
 ``tests/fixtures/golden_engine_values.json`` freezes the exact outputs of
-the pre-backend-dispatch engine (PR 1/2 numerics) for a small chip run, a
+the original batched engine (PR 1/2 numerics) for a small chip run, a
 tilted chip-tail run, and a device tail estimate, all under pinned seeds.
 Any change to the engine's numerics — a reordered reduction, a dtype
 promotion, a different RNG consumption pattern — shifts these values and
 shows up here as a visible diff instead of silent statistical drift.
 
-The tests pin the backend to NumPy/float64 explicitly, so they stay
-meaningful when the suite runs under ``REPRO_BACKEND``/``REPRO_DTYPE``
-overrides (the CI dtype matrix).  Count-derived statistics are compared
+The tests pin the dtype policy to float64 explicitly, so they stay
+meaningful when the suite runs under a ``REPRO_DTYPE`` override (the CI
+dtype matrix).  Count-derived statistics are compared
 exactly; smooth functionals allow 1e-9 relative slack for cross-platform
 libm differences in ``exp``/``log``.
 """
@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backend import get_backend
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import ExponentialPitch, GammaPitch
 from repro.growth.types import CNTTypeModel
@@ -41,12 +40,12 @@ def golden():
 
 
 @pytest.fixture(scope="module")
-def reference_backend():
-    return get_backend("numpy", dtype="float64")
+def reference_dtype():
+    return "float64"
 
 
 @pytest.fixture(scope="module")
-def simulator(golden, reference_backend):
+def simulator(golden, reference_dtype):
     library = build_nangate45_library()
     design = build_openrisc_like_design(
         library, scale=golden["chip_naive"]["scale"], seed=2010
@@ -56,7 +55,7 @@ def simulator(golden, reference_backend):
         placement,
         pitch=ExponentialPitch(20.0),
         type_model=CNTTypeModel(1.0 / 3.0, 1.0, 0.3),
-        backend=reference_backend,
+        dtype=reference_dtype,
     )
 
 
@@ -82,7 +81,7 @@ class TestGoldenChipNaive:
 
 
 class TestGoldenChipShorts:
-    def test_exact_failure_counts_with_shorts(self, golden, reference_backend):
+    def test_exact_failure_counts_with_shorts(self, golden, reference_dtype):
         # Imperfect metallic removal (eta = 0.95) activates the joint
         # opens+shorts engine path; the frozen counts pin its RNG
         # consumption (the shared single-uniform partition) and the
@@ -99,7 +98,7 @@ class TestGoldenChipShorts:
                 g["removal_prob_metallic"],
                 g["removal_prob_semiconducting"],
             ),
-            backend=reference_backend,
+            dtype=reference_dtype,
         )
         result = simulator.run(
             g["n_trials"], np.random.default_rng(g["seed"])
@@ -140,7 +139,7 @@ class TestGoldenChipTilted:
 
 
 class TestGoldenDeviceTilted:
-    def test_tilted_device_estimate(self, golden, reference_backend):
+    def test_tilted_device_estimate(self, golden, reference_dtype):
         g = golden["device_tilted"]
         spec = g["pitch"]
         assert spec["family"] == "gamma"
@@ -150,7 +149,7 @@ class TestGoldenDeviceTilted:
             g["width_nm"],
             g["n_samples"],
             np.random.default_rng(g["seed"]),
-            backend=reference_backend,
+            dtype=reference_dtype,
         )
         assert estimate.estimate == pytest.approx(g["estimate"], rel=REL)
         assert estimate.standard_error == pytest.approx(

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.backend import get_backend
 from repro.growth.pitch import ExponentialPitch, GammaPitch
 from repro.growth.types import CNTTypeModel
 from repro.growth.wafer import WaferGrowthModel, WaferMap
@@ -107,11 +106,11 @@ class TestStackedRunner:
         kwargs = dict(n_trials=512, seed_key=(19,))
         r64 = simulate_wafer(
             wafer, ExponentialPitch(4.0), sparse_type_model, WIDTHS, COUNTS,
-            backend=get_backend("numpy", dtype="float64"), **kwargs,
+            dtype="float64", **kwargs,
         )
         r32 = simulate_wafer(
             wafer, ExponentialPitch(4.0), sparse_type_model, WIDTHS, COUNTS,
-            backend=get_backend("numpy", dtype="float32"), **kwargs,
+            dtype="float32", **kwargs,
         )
         for a, b in zip(r64.dice, r32.dice):
             for p1, s1, p2 in zip(

@@ -186,6 +186,44 @@ class TestChipWaferResume:
         assert resumed.dice == plain.dice
 
 
+class TestDtypeFingerprint:
+    def test_float32_checkpoint_rejected_by_float64_run(
+        self, chip, wafer, pitch, type_model, tmp_path, monkeypatch
+    ):
+        # The dtype policy changes every sampled position, so a checkpoint
+        # written under one policy must never be resumed under the other.
+        def chip_run(dtype):
+            return ChipMonteCarlo(chip.placement, dtype=dtype).run(
+                32, np.random.default_rng(42), trial_chunk=16,
+                checkpoint_dir=str(tmp_path / "chip"),
+            )
+
+        def wafer_run():
+            return simulate_wafer(
+                wafer, pitch, type_model, widths_nm=[200.0], n_trials=16,
+                seed_key=(5,), checkpoint_dir=str(tmp_path / "wafer"),
+            )
+
+        def chip_wafer_run(dtype):
+            return run_chip_wafer(
+                wafer, ChipMonteCarlo(chip.placement, dtype=dtype),
+                n_trials=4, seed_key=(5,),
+                checkpoint_dir=str(tmp_path / "chip-wafer"),
+            )
+
+        chip_run("float32")
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        wafer_run()
+        chip_wafer_run(None)
+        monkeypatch.setenv("REPRO_DTYPE", "float64")
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            chip_run("float64")
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            wafer_run()
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            chip_wafer_run(None)
+
+
 class TestSweepResume:
     SPEC = dict(
         scenario="uncorrelated",

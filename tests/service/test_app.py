@@ -141,13 +141,21 @@ class TestQueryEndpoint:
         )
         assert status == 400
         assert "unknown fields" in body["error"]["message"]
+        for bad in ([True], ["100"], [[100.0]]):
+            status, body = call(
+                app, "POST", "/v1/query", _query_body(surface, width_nm=bad)
+            )
+            assert status == 400
+            assert "width_nm" in body["error"]["message"]
 
-    def test_unknown_surface_is_404(self, app):
-        status, _ = call(
+    def test_unknown_surface_is_404(self, app, tmp_path):
+        status, body = call(
             app, "POST", "/v1/query",
             {"surface": "missing", "width_nm": [250.0]},
         )
         assert status == 404
+        # The store's filesystem location is never echoed to clients.
+        assert str(tmp_path) not in body["error"]["message"]
 
     def test_deadline_clamp_flag_reaches_the_wire(self, app, surface):
         status, wire = call(
@@ -224,9 +232,10 @@ class TestSurfaceEndpoints:
         assert status == 200
         assert body["key"] == surface.key
 
-    def test_get_missing_surface_is_404(self, app):
-        status, _ = call(app, "GET", "/v1/surfaces/ghost")
+    def test_get_missing_surface_is_404(self, app, tmp_path):
+        status, body = call(app, "GET", "/v1/surfaces/ghost")
         assert status == 404
+        assert str(tmp_path) not in body["error"]["message"]
 
     def test_upload_hot_reloads_a_new_version(self, app, tmp_path):
         newer = _build_surface(w_low=260.0)

@@ -53,8 +53,15 @@ class TestQueryRequestValidation:
             QueryRequest.from_payload(_payload(surface=""))
 
     def test_rejects_non_numeric_width(self):
-        with pytest.raises(SchemaError, match="width_nm"):
-            QueryRequest.from_payload(_payload(width_nm=["a", "b"]))
+        # Booleans, numeric strings and nested lists are not numbers on
+        # the wire, even though NumPy would coerce each of them.
+        for bad in (["a", "b"], [True], False, ["100"], "100", [[100.0]],
+                    [100.0, True], {"w": 100.0}, None):
+            with pytest.raises(SchemaError, match="width_nm"):
+                QueryRequest.from_payload(_payload(width_nm=bad))
+        for field in ("cnt_density_per_um", "device_count"):
+            with pytest.raises(SchemaError, match=field):
+                QueryRequest.from_payload(_payload(**{field: [True, 1.0]}))
 
     def test_rejects_non_finite_width(self):
         with pytest.raises(SchemaError, match="finite"):

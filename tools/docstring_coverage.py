@@ -13,7 +13,7 @@ Used two ways:
 
 * the CI docs job runs it directly with ``--fail-under 100`` over the
   audited packages (``repro.growth``, ``repro.montecarlo.wafer_sim``,
-  ``repro.backend``);
+  ``repro.service``, ``repro.timing`` and the rest of the CI list);
 * ``tests/test_docstring_coverage.py`` wraps it as a tier-1 test, so the
   gate cannot rot between CI config changes.
 
