@@ -486,6 +486,9 @@ class ParetoCoOptimizer:
         self._uniform_optimized = self._flow.optimized_wmin()
         self._levels = self._build_levels()
         self._surfaces: Dict[Tuple[float, float], object] = {}
+        # Validation geometry per design scale, shared by every candidate.
+        self._placements: Dict[float, object] = {}
+        self._timings: Dict[float, object] = {}
 
     # ------------------------------------------------------------------
     # Search-space construction
@@ -873,6 +876,19 @@ class ParetoCoOptimizer:
     # End-to-end validation
     # ------------------------------------------------------------------
 
+    def _validation_placement(self, scale: float) -> object:
+        """The placed OpenRISC-like validation design at ``scale`` (built once)."""
+        placement = self._placements.get(scale)
+        if placement is None:
+            from repro.cells.nangate45 import build_nangate45_library
+            from repro.netlist.openrisc import build_openrisc_like_design
+            from repro.netlist.placement import RowPlacement
+
+            library = build_nangate45_library()
+            design = build_openrisc_like_design(library, scale=scale, seed=2010)
+            placement = self._placements[scale] = RowPlacement(design)
+        return placement
+
     def validate(
         self,
         candidate: CandidatePoint,
@@ -895,19 +911,18 @@ class ParetoCoOptimizer:
         functional/timing yield.  RNG streams are spawn-keyed from the
         optimizer seed and the candidate's front rank, so validations are
         bitwise reproducible and independent of ``n_workers``.
+
+        The placed design and its derived timing graph depend only on
+        ``scale`` (not on the candidate's pitch), so one optimizer builds
+        them once per scale and every validation reuses them.
         """
         ensure_positive(n_trials, "n_trials")
-        from repro.cells.nangate45 import build_nangate45_library
         from repro.growth.pitch import pitch_distribution_from_cv
         from repro.montecarlo.chip_sim import ChipMonteCarlo
-        from repro.netlist.openrisc import build_openrisc_like_design
-        from repro.netlist.placement import RowPlacement
-        from repro.timing import TimingMonteCarlo
+        from repro.timing import TimingMonteCarlo, derive_timing_graph
 
         point = candidate.process
-        library = build_nangate45_library()
-        design = build_openrisc_like_design(library, scale=scale, seed=2010)
-        placement = RowPlacement(design)
+        placement = self._validation_placement(scale)
         pitch = pitch_distribution_from_cv(
             point.mean_pitch_nm, point.pitch_cv
         )
@@ -947,7 +962,12 @@ class ParetoCoOptimizer:
             (mc.mean_failing_devices - predicted) / se if se > 0 else 0.0
         )
 
-        engine = TimingMonteCarlo.from_chip(chip, seed=self.seed)
+        timing_graph = self._timings.get(scale)
+        if timing_graph is None:
+            timing_graph = self._timings[scale] = derive_timing_graph(
+                chip, seed=self.seed
+            )
+        engine = TimingMonteCarlo.from_chip(chip, timing=timing_graph)
         t_clk = engine.default_t_clk_ps(factor=t_clk_factor)
         timing = engine.run(
             n_trials,

@@ -23,16 +23,28 @@ interchangeable models behind a common :class:`CountModel` interface:
 :class:`EmpiricalCountModel`
     Histogram over Monte Carlo count samples, used to validate the
     analytical models against the growth simulators.
+
+Column fill
+-----------
+Yield surfaces and sweeps evaluate Eq. 2.2 for a whole column of widths
+at one pitch.  :meth:`CountModel.tabulate` takes that column up front:
+:class:`RenewalCountModel` evaluates one ``sum_cdf_array`` grid with the
+count ``n`` along one axis and the widths along the other, finds each
+width's tail stop with a vectorised search on its own row, and caches
+every width's pmf.  The per-width :meth:`~CountModel.pmf` and
+:meth:`~CountModel.pgf` calls that follow are cache reads.  A cold
+``pmf(W)`` is the same fill for a column of one width, so a value never
+depends on whether its column was filled first.  No SciPy is imported
+at module scope; the Poisson pmf loads :mod:`scipy.stats` on first use.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
-from scipy import stats
 
 from repro.growth.pitch import PitchDistribution, ExponentialPitch, pitch_distribution_from_cv
 from repro.units import ensure_positive
@@ -42,12 +54,11 @@ class CountModel(abc.ABC):
     """Interface for CNT count distributions as a function of device width."""
 
     @abc.abstractmethod
-    def pmf(self, width_nm: float, max_count: Optional[int] = None) -> np.ndarray:
+    def pmf(self, width_nm: float) -> np.ndarray:
         """Probability mass function of N(W).
 
         Returns an array ``p`` with ``p[n] = P{N(W) = n}``; the array is long
-        enough that the omitted tail mass is negligible (< 1e-12) unless
-        ``max_count`` truncates it explicitly.
+        enough that the omitted tail mass is negligible (< 1e-12).
         """
 
     @abc.abstractmethod
@@ -59,6 +70,13 @@ class CountModel(abc.ABC):
         self, width_nm: float, n_samples: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Draw ``n_samples`` counts at the given width."""
+
+    def tabulate(self, widths_nm) -> None:
+        """Prepare :meth:`pmf` for a whole column of widths at once.
+
+        Models that tabulate their pmf per width fill that table here, so
+        the per-width calls that follow are reads; the default is a no-op.
+        """
 
     # ------------------------------------------------------------------
     # Shared derived quantities
@@ -114,13 +132,13 @@ class PoissonCountModel(CountModel):
         """Expected CNT count E[N(W)] = λ(W)."""
         return self.rate(width_nm)
 
-    def pmf(self, width_nm: float, max_count: Optional[int] = None) -> np.ndarray:
+    def pmf(self, width_nm: float) -> np.ndarray:
         """Poisson pmf of the CNT count at width ``width_nm``."""
+        from scipy.stats import poisson
+
         lam = self.rate(width_nm)
-        if max_count is None:
-            max_count = int(lam + 12.0 * math.sqrt(lam) + 30)
-        n = np.arange(max_count + 1)
-        return stats.poisson.pmf(n, lam)
+        n = np.arange(int(lam + 12.0 * math.sqrt(lam) + 30) + 1)
+        return poisson.pmf(n, lam)
 
     def sample(
         self, width_nm: float, n_samples: int, rng: np.random.Generator
@@ -172,53 +190,74 @@ class RenewalCountModel(CountModel):
         ensure_positive(width_nm, "width_nm")
         return width_nm / self.pitch.mean_nm
 
-    def pmf(self, width_nm: float, max_count: Optional[int] = None) -> np.ndarray:
+    def pmf(self, width_nm: float) -> np.ndarray:
         """Count pmf from the n-fold sum CDF of the pitch (cached per width)."""
         ensure_positive(width_nm, "width_nm")
         key = round(float(width_nm), 9)
-        cached = self._pmf_cache.get(key)
-        if cached is not None and (max_count is None or cached.size >= max_count + 1):
-            return cached if max_count is None else cached[: max_count + 1]
+        if key not in self._pmf_cache:
+            self.tabulate([width_nm])
+        return self._pmf_cache[key]
 
-        mean = self.mean_count(width_nm)
-        sigma = math.sqrt(max(mean, 1.0)) * max(self.pitch.cv, 0.1)
-        guess_max = int(mean + 12.0 * sigma + 30)
-        if max_count is not None:
-            guess_max = max(max_count, 1)
+    def tabulate(self, widths_nm) -> None:
+        """Cache the pmf of every width in a column from one CDF grid.
 
-        # Vectorised fast path: one batched CDF evaluation covers the range
-        # the loop typically walks before its tail-stop; the rare overflow
-        # beyond it falls back to scalar calls.  Loop semantics (tail stop,
-        # safety stop) are unchanged.
-        upper = guess_max + 2 if max_count is None else max_count + 2
-        survival_block = self.pitch.sum_cdf_array(np.arange(1, upper), width_nm)
+        ``P{N >= n}`` is evaluated for all widths and ``n = 1 … M`` in one
+        ``sum_cdf_array`` call, ``M`` covering the widest width's
+        ``mean + 12σ + 30`` guess.  Each pmf runs to the first ``n`` at or
+        beyond its own width's guess whose survival is below
+        ``tail_tolerance``, and is normalised so downstream sums are
+        exact.  Widths already cached are skipped.
+        """
+        column: Dict[float, float] = {}
+        for w in np.atleast_1d(np.asarray(widths_nm, dtype=float)):
+            key = round(float(w), 9)
+            if key not in self._pmf_cache:
+                column.setdefault(key, ensure_positive(float(w), "width_nm"))
+        if not column:
+            return
+        widths = np.fromiter(column.values(), dtype=float, count=len(column))
+        mean = widths / self.pitch.mean_nm
+        sigma = np.sqrt(np.maximum(mean, 1.0)) * max(self.pitch.cv, 0.1)
+        guess = (mean + 12.0 * sigma + 30).astype(int)
+        survival = self.pitch.sum_cdf_array(
+            np.arange(1, int(guess.max()) + 2), widths[:, None]
+        )
+        probs, stop = self._count_probabilities(survival, guess)
+        for i, key in enumerate(column):
+            pmf = probs[i, : stop[i]]
+            if stop[i] == 0:
+                pmf = self._pmf_to_safety_stop(widths[i], int(guess[i]))
+            total = pmf.sum()
+            self._pmf_cache[key] = pmf / total if total > 0 else pmf.copy()
 
-        survival_prev = 1.0  # P{N >= 0} = 1
-        probs = []
-        n = 0
-        while True:
-            survival_next = (  # P{N >= n+1}
-                float(survival_block[n]) if n < survival_block.size
-                else self.pitch.sum_cdf(n + 1, width_nm)
-            )
-            probs.append(max(survival_prev - survival_next, 0.0))
-            survival_prev = survival_next
-            n += 1
-            if max_count is not None and n > max_count:
-                break
-            if max_count is None and survival_next < self.tail_tolerance and n >= guess_max:
-                break
-            if n > guess_max * 4 + 1000:
-                # Safety stop; remaining mass is attributed to the last bin.
-                probs[-1] += survival_next
-                break
-        pmf = np.asarray(probs, dtype=float)
-        # Normalise away the tiny truncated tail so downstream sums are exact.
-        total = pmf.sum()
-        if total > 0:
-            pmf = pmf / total
-        if max_count is None:
-            self._pmf_cache[key] = pmf
+    def _count_probabilities(self, survival: np.ndarray, guess: np.ndarray):
+        """``P{N = n}`` rows and tail-stop lengths of a survival grid.
+
+        ``survival[i, n - 1] = P{N_i >= n}``.  A row's stop is the first
+        ``n >= guess[i]`` whose survival is below ``tail_tolerance``, or 0
+        when the grid ends first.
+        """
+        n = np.arange(1, survival.shape[1] + 1)
+        previous = np.hstack([np.ones((survival.shape[0], 1)), survival[:, :-1]])
+        probs = np.maximum(previous - survival, 0.0)
+        tail = (survival < self.tail_tolerance) & (n >= guess[:, None])
+        stop = np.where(tail.any(axis=1), tail.argmax(axis=1) + 1, 0)
+        return probs, stop
+
+    def _pmf_to_safety_stop(self, width_nm: float, guess: int) -> np.ndarray:
+        """Unnormalised pmf of one width whose tail outruns the column grid.
+
+        The row is re-evaluated out to ``4·guess + 1001`` counts; if the
+        tail is still above ``tail_tolerance`` there, the remaining mass
+        is attributed to the last bin.
+        """
+        limit = 4 * guess + 1001
+        survival = self.pitch.sum_cdf_array(np.arange(1, limit + 1), width_nm)
+        probs, stop = self._count_probabilities(survival[None, :], np.array([guess]))
+        if stop[0]:
+            return probs[0, : stop[0]]
+        pmf = probs[0]
+        pmf[-1] += survival[-1]
         return pmf
 
     def sample(
@@ -271,11 +310,10 @@ class EmpiricalCountModel(CountModel):
         """Widths for which samples have been registered."""
         return sorted(self._samples)
 
-    def pmf(self, width_nm: float, max_count: Optional[int] = None) -> np.ndarray:
+    def pmf(self, width_nm: float) -> np.ndarray:
         """Histogram pmf of the registered samples at ``width_nm``."""
         counts = self._get(width_nm)
-        upper = int(counts.max()) if max_count is None else int(max_count)
-        pmf = np.bincount(np.clip(counts, 0, upper), minlength=upper + 1).astype(float)
+        pmf = np.bincount(counts, minlength=int(counts.max()) + 1).astype(float)
         return pmf / pmf.sum()
 
     def mean_count(self, width_nm: float) -> float:

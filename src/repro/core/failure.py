@@ -190,8 +190,10 @@ class CNFETFailureModel:
         return float(self.count_model.pgf(width_nm, self.per_cnt_failure))
 
     def failure_probabilities(self, widths_nm: Iterable[float]) -> np.ndarray:
-        """Vectorised :meth:`failure_probability`."""
-        return np.array([self.failure_probability(float(w)) for w in widths_nm])
+        """Vectorised :meth:`failure_probability` (one column fill, then reads)."""
+        widths = np.asarray(list(widths_nm), dtype=float)
+        self.count_model.tabulate(widths)
+        return np.array([self.failure_probability(float(w)) for w in widths])
 
     def log_failure_probabilities(self, widths_nm: Iterable[float]) -> np.ndarray:
         """Natural-log pF(W) over a width array — the sweep-grid fast path.
@@ -200,8 +202,9 @@ class CNFETFailureModel:
         values (1e-9 and below) underflow a plain probability array's
         relative precision.  Poisson count models evaluate the closed form
         ``log pF = -(W/µS)·(1 - pf)`` in one vectorised expression; other
-        count models fall back to per-width PGF evaluations with
-        underflowed probabilities mapped to ``-inf``.
+        count models tabulate the column once
+        (:meth:`~repro.core.count_model.CountModel.tabulate`) and then read
+        per-width PGFs, with underflowed probabilities mapped to ``-inf``.
         """
         widths = np.asarray(list(widths_nm), dtype=float)
         if widths.size and np.any(widths <= 0):
@@ -219,6 +222,7 @@ class CNFETFailureModel:
         if isinstance(self.count_model, PoissonCountModel):
             lam = widths / self.count_model.mean_pitch_nm
             return -lam * (1.0 - self.per_cnt_failure)
+        self.count_model.tabulate(widths)
         out = np.empty(widths.size, dtype=float)
         for i, w in enumerate(widths):
             p = self.failure_probability(float(w))

@@ -60,7 +60,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.constants import DEFAULT_METALLIC_FRACTION, DEFAULT_REMOVAL_PROB_METALLIC
 from repro.core.count_model import CountModel, PoissonCountModel
@@ -187,11 +186,13 @@ def joint_failure_probability(
         )
     # General N_min: weight the no-short factor by the binomial survival
     # of the conducting-class count among the non-short tubes.
+    from scipy.stats import binom
+
     pmf = count_model.pmf(width_nm)
     n = np.arange(pmf.size)
     one_minus_b = 1.0 - b
     ratio = (1.0 - pf) / one_minus_b if one_minus_b > 0.0 else 0.0
-    survive_given_n = np.power(one_minus_b, n) * stats.binom.sf(n_min - 1, n, ratio)
+    survive_given_n = np.power(one_minus_b, n) * binom.sf(n_min - 1, n, ratio)
     survive = float(np.sum(pmf * survive_given_n))
     return min(1.0, max(0.0, 1.0 - survive))
 
@@ -203,8 +204,13 @@ def joint_failure_probabilities(
     short_probability: float,
     min_working_tubes: int = 1,
 ) -> np.ndarray:
-    """Vectorised :func:`joint_failure_probability` over a width array."""
+    """Vectorised :func:`joint_failure_probability` over a width array.
+
+    The count model tabulates the whole column first, so the per-width
+    closed forms read cached pmfs.
+    """
     widths = np.atleast_1d(np.asarray(widths_nm, dtype=float))
+    count_model.tabulate(widths)
     return np.array([
         joint_failure_probability(
             count_model, float(w), per_cnt_failure, short_probability,

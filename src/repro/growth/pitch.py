@@ -18,7 +18,14 @@ exposes:
 * ``sample(size, rng)`` — Monte Carlo samples,
 * ``sum_cdf(n, w_nm)`` — the CDF of the n-fold sum evaluated at ``w_nm``
   (exact when the family is closed under summation, otherwise a central
-  limit approximation is used).
+  limit approximation is used), and its vectorised form
+  ``sum_cdf_array(n_values, w_nm)``, which broadcasts counts against
+  widths.
+
+The closed families evaluate their CDFs with :mod:`scipy.special`
+(``gammainc``, ``ndtr``), imported at the call site so that importing
+this module loads no SciPy; these are the functions the matching
+:mod:`scipy.stats` CDFs call, so the values are bitwise the same.
 
 The paper keeps the ratio σS/µS from [Zhang 09a] and sets µS to the
 optimised 4 nm of [Deng 07]; the exact σS/µS value is a calibration knob
@@ -33,7 +40,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.units import ensure_positive
 
@@ -117,22 +123,23 @@ class PitchDistribution(abc.ABC):
         size = int(np.prod(shape))
         return self.sample(size, rng).reshape(shape)
 
-    @abc.abstractmethod
     def sum_cdf(self, n: int, w_nm: float) -> float:
         """Return ``P{s_1 + ... + s_n <= w_nm}``.
 
         ``n = 0`` returns 1.0 for any non-negative ``w_nm`` (an empty sum is
-        zero).
+        zero).  This is the scalar view of :meth:`sum_cdf_array`.
         """
+        return float(self.sum_cdf_array(n, w_nm))
 
-    def sum_cdf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
-        """Vectorised :meth:`sum_cdf` over an array of integer ``n``.
+    @abc.abstractmethod
+    def sum_cdf_array(self, n_values, w_nm) -> np.ndarray:
+        """Vectorised :meth:`sum_cdf` over integer ``n`` and widths.
 
-        Subclasses whose family is closed under summation override this
-        with a single vectorised CDF evaluation; the base implementation
-        falls back to a per-element loop.
+        ``n_values`` and ``w_nm`` broadcast against each other, so an
+        ``(M,)`` count range against a ``(k, 1)`` width column gives the
+        ``(k, M)`` grid a renewal count model tabulates a whole width
+        column from.  Negative ``n`` raises ``ValueError``.
         """
-        return np.array([self.sum_cdf(int(n), w_nm) for n in np.asarray(n_values)])
 
     def exponential_tilt(self, mean_factor: float) -> GapTilt:
         """Exponentially tilted copy of this distribution, as a :class:`GapTilt`.
@@ -194,23 +201,10 @@ class DeterministicPitch(PitchDistribution):
         """Draw ``size`` identical gaps of ``pitch_nm`` nm."""
         return np.full(size, self.pitch_nm, dtype=float)
 
-    def sum_cdf(self, n: int, w_nm: float) -> float:
+    def sum_cdf_array(self, n_values, w_nm) -> np.ndarray:
         """Degenerate n-fold sum CDF: a unit step at ``n * pitch_nm``."""
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        if n == 0:
-            return 1.0 if w_nm >= 0 else 0.0
-        return 1.0 if n * self.pitch_nm <= w_nm else 0.0
-
-    def sum_cdf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
-        """Vectorised :meth:`sum_cdf` (a step function per ``n``)."""
-        n = np.asarray(n_values)
-        if np.any(n < 0):
-            raise ValueError("n must be non-negative")
-        return np.where(
-            n == 0,
-            1.0 if w_nm >= 0 else 0.0,
-            (n * self.pitch_nm <= w_nm).astype(float),
+        return _sum_cdf_grid(
+            n_values, w_nm, lambda n, w: (n * self.pitch_nm <= w).astype(float)
         )
 
     def with_mean(self, mean_nm: float) -> "DeterministicPitch":
@@ -246,27 +240,14 @@ class ExponentialPitch(PitchDistribution):
         """Draw ``size`` independent exponential gaps (nm)."""
         return rng.exponential(scale=self.mean_pitch_nm, size=size)
 
-    def sum_cdf(self, n: int, w_nm: float) -> float:
+    def sum_cdf_array(self, n_values, w_nm) -> np.ndarray:
         """Exact n-fold sum CDF ``P{S_n <= w_nm}`` (Erlang distribution)."""
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        if n == 0:
-            return 1.0 if w_nm >= 0 else 0.0
-        if w_nm <= 0:
-            return 0.0
-        # Sum of n exponentials is Erlang(n, rate = 1/mean).
-        return float(stats.gamma.cdf(w_nm, a=n, scale=self.mean_pitch_nm))
+        from scipy.special import gammainc
 
-    def sum_cdf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
-        """Vectorised :meth:`sum_cdf` via one gamma-CDF call over ``n``."""
-        n = np.asarray(n_values)
-        if np.any(n < 0):
-            raise ValueError("n must be non-negative")
-        # gamma.cdf vectorises over the shape parameter; n = 0 needs the
-        # empty-sum convention patched in afterwards.
-        with np.errstate(invalid="ignore"):
-            cdf = stats.gamma.cdf(w_nm, a=n, scale=self.mean_pitch_nm)
-        return np.where(n == 0, 1.0 if w_nm >= 0 else 0.0, cdf)
+        # Sum of n exponentials is Erlang(n, rate = 1/mean).
+        return _sum_cdf_grid(
+            n_values, w_nm, lambda n, w: gammainc(n, w / self.mean_pitch_nm)
+        )
 
     def exponential_tilt(self, mean_factor: float) -> GapTilt:
         # Tilting Exp(mean) by exp(θs) stays exponential with mean
@@ -320,24 +301,13 @@ class GammaPitch(PitchDistribution):
         """Draw ``size`` independent gamma gaps (nm)."""
         return rng.gamma(shape=self.shape, scale=self.scale_nm, size=size)
 
-    def sum_cdf(self, n: int, w_nm: float) -> float:
+    def sum_cdf_array(self, n_values, w_nm) -> np.ndarray:
         """Exact n-fold sum CDF: Gamma(n·k, θ) closure under summation."""
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        if n == 0:
-            return 1.0 if w_nm >= 0 else 0.0
-        if w_nm <= 0:
-            return 0.0
-        return float(stats.gamma.cdf(w_nm, a=n * self.shape, scale=self.scale_nm))
+        from scipy.special import gammainc
 
-    def sum_cdf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
-        """Vectorised :meth:`sum_cdf` via one gamma-CDF call over ``n``."""
-        n = np.asarray(n_values)
-        if np.any(n < 0):
-            raise ValueError("n must be non-negative")
-        with np.errstate(invalid="ignore"):
-            cdf = stats.gamma.cdf(w_nm, a=n * self.shape, scale=self.scale_nm)
-        return np.where(n == 0, 1.0 if w_nm >= 0 else 0.0, cdf)
+        return _sum_cdf_grid(
+            n_values, w_nm, lambda n, w: gammainc(n * self.shape, w / self.scale_nm)
+        )
 
     def exponential_tilt(self, mean_factor: float) -> GapTilt:
         # Tilting Gamma(k, c) by exp(θs) stays Gamma(k, c / (1 - θc)): the
@@ -374,7 +344,10 @@ class TruncatedNormalPitch(PitchDistribution):
 
     @property
     def _dist(self):
-        return stats.truncnorm(
+        """The frozen :func:`scipy.stats.truncnorm` this pitch draws from."""
+        from scipy.stats import truncnorm
+
+        return truncnorm(
             a=self._alpha, b=np.inf,
             loc=self.nominal_mean_nm, scale=self.nominal_std_nm,
         )
@@ -393,36 +366,24 @@ class TruncatedNormalPitch(PitchDistribution):
         """Draw ``size`` independent truncated-normal gaps (nm)."""
         return self._dist.rvs(size=size, random_state=rng)
 
-    def sum_cdf(self, n: int, w_nm: float) -> float:
-        """n-fold sum CDF: exact for n <= 1, CLT approximation beyond."""
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        if n == 0:
-            return 1.0 if w_nm >= 0 else 0.0
-        if w_nm <= 0:
-            return 0.0
-        # The truncated-normal family is not closed under convolution; use a
-        # central-limit approximation on the truncated moments.  For n = 1
-        # the exact single-sample CDF is available.
-        if n == 1:
-            return float(self._dist.cdf(w_nm))
-        mean = n * self.mean_nm
-        std = math.sqrt(n) * self.std_nm
-        return float(stats.norm.cdf(w_nm, loc=mean, scale=std))
+    def sum_cdf_array(self, n_values, w_nm) -> np.ndarray:
+        """n-fold sum CDF: exact for n <= 1, CLT approximation beyond.
 
-    def sum_cdf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
-        """Vectorised :meth:`sum_cdf` (exact at n = 1, CLT beyond)."""
-        n = np.asarray(n_values)
-        if np.any(n < 0):
-            raise ValueError("n must be non-negative")
-        if w_nm <= 0:
-            return np.where(n == 0, 1.0 if w_nm >= 0 else 0.0, 0.0)
-        safe_n = np.maximum(n, 1)
-        cdf = stats.norm.cdf(
-            w_nm, loc=safe_n * self.mean_nm, scale=np.sqrt(safe_n) * self.std_nm
-        )
-        cdf = np.where(n == 1, float(self._dist.cdf(w_nm)), cdf)
-        return np.where(n == 0, 1.0, cdf)
+        The truncated-normal family is not closed under convolution, so
+        ``n >= 2`` uses a central-limit approximation on the truncated
+        moments; for ``n = 1`` the exact single-sample CDF is available.
+        """
+        from scipy.special import ndtr
+
+        dist = self._dist
+        mean, std = float(dist.mean()), float(dist.std())
+
+        def cdf(n, w):
+            safe_n = np.maximum(n, 1)
+            clt = ndtr((w - safe_n * mean) / (np.sqrt(safe_n) * std))
+            return np.where(n == 1, dist.cdf(w), clt)
+
+        return _sum_cdf_grid(n_values, w_nm, cdf)
 
     def exponential_tilt(self, mean_factor: float) -> GapTilt:
         # Tilting N(m, σ²)·1{s>0} by exp(θs) shifts the location to
@@ -439,8 +400,10 @@ class TruncatedNormalPitch(PitchDistribution):
         tilted = TruncatedNormalPitch(
             nominal_mean_nm=m_tilted, nominal_std_nm=sigma
         )
-        z_nominal = float(stats.norm.cdf(m / sigma))
-        z_tilted = float(stats.norm.cdf(m_tilted / sigma))
+        from scipy.special import ndtr
+
+        z_nominal = float(ndtr(m / sigma))
+        z_tilted = float(ndtr(m_tilted / sigma))
         return GapTilt(
             nominal=self,
             tilted=tilted,
@@ -462,6 +425,23 @@ class TruncatedNormalPitch(PitchDistribution):
             nominal_mean_nm=self.nominal_mean_nm * factor,
             nominal_std_nm=self.nominal_std_nm * factor,
         )
+
+
+def _sum_cdf_grid(n_values, w_nm, cdf) -> np.ndarray:
+    """The conventions every ``sum_cdf_array`` shares, around a family CDF.
+
+    Broadcasts ``n`` against ``w`` and rejects negative ``n``.  An empty
+    sum (``n = 0``) is 1 for ``w >= 0``, and no positive sum fits below
+    ``w <= 0``, so ``cdf(n, w)`` is only read where ``n >= 1`` and
+    ``w > 0`` (``gammainc`` is NaN at negative arguments).
+    """
+    n = np.asarray(n_values)
+    if np.any(n < 0):
+        raise ValueError(f"n must be non-negative, got {n_values}")
+    w = np.asarray(w_nm, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values = cdf(n, w)
+    return np.where(n == 0, np.where(w >= 0, 1.0, 0.0), np.where(w > 0, values, 0.0))
 
 
 def _gamma_family_tilt(

@@ -188,9 +188,11 @@ class EtaSurfaceFamily:
         )
 
     def _fallback(self, eta: float) -> ExactEvaluator:
-        key = round(float(eta), 12)
+        # Keyed on the exact eta: etas a rounding apart can sit on either
+        # side of b = 0, where the joint value jumps (eta = 1 is opens-only).
+        key = float(eta)
         if key not in self._fallbacks:
-            self._fallbacks[key] = self._evaluator_for(self.spec, float(eta))
+            self._fallbacks[key] = self._evaluator_for(self.spec, key)
         return self._fallbacks[key]
 
     # ------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import special, stats
 
 from repro.growth.pitch import (
     DeterministicPitch,
@@ -15,6 +17,12 @@ from repro.growth.pitch import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+def _same_bits(a, b) -> bool:
+    """Bitwise equality of two float arrays (NaN and signed zero included)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestDeterministicPitch:
@@ -171,3 +179,95 @@ class TestSumCdfArray:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             ExponentialPitch(4.0).sum_cdf_array(np.array([1, -1]), 10.0)
+
+    @pytest.mark.parametrize("pitch", [
+        DeterministicPitch(5.0),
+        ExponentialPitch(4.0),
+        GammaPitch(4.0, 0.8),
+        TruncatedNormalPitch(4.0, 2.0),
+    ])
+    @pytest.mark.parametrize("w_nm", [-3.0, -1e-300, 0.0])
+    def test_non_positive_width_conventions(self, pitch, w_nm):
+        # gammainc is NaN at negative arguments; the guard keeps the
+        # empty-sum value at n = 0 and 0 for every positive count.
+        values = pitch.sum_cdf_array(np.arange(0, 8), w_nm)
+        assert values[0] == (1.0 if w_nm >= 0 else 0.0)
+        assert np.all(values[1:] == 0.0)
+        assert pitch.sum_cdf(0, w_nm) == values[0]
+        assert pitch.sum_cdf(3, w_nm) == 0.0
+
+    @pytest.mark.parametrize("pitch", [
+        DeterministicPitch(5.0),
+        ExponentialPitch(4.0),
+        GammaPitch(4.0, 0.8),
+        TruncatedNormalPitch(4.0, 2.0),
+    ])
+    def test_width_column_grid_rows_equal_per_width_calls(self, pitch):
+        widths = np.array([-1.0, 0.0, 0.7, 3.0, 40.0, 250.0])
+        n_values = np.arange(0, 40)
+        grid = pitch.sum_cdf_array(n_values, widths[:, None])
+        assert grid.shape == (widths.size, n_values.size)
+        for w, row in zip(widths, grid):
+            assert _same_bits(row, pitch.sum_cdf_array(n_values, w))
+
+
+class TestSpecialFunctionCdfs:
+    """The pitch CDFs call ``scipy.special`` where they used ``scipy.stats``.
+
+    ``stats.gamma.cdf(w, a, scale=θ)`` evaluates ``special.gammainc(a,
+    w/θ)`` and ``stats.norm.cdf(w, loc, scale)`` evaluates
+    ``special.ndtr((w - loc)/scale)``; these pin that the replacement is
+    bitwise, both for the raw functions and for ``sum_cdf_array`` against
+    the ``stats`` formulas it used to evaluate.
+    """
+
+    counts = st.integers(min_value=1, max_value=3000)
+    shapes = st.floats(min_value=0.01, max_value=100.0)
+    widths = st.floats(min_value=1e-6, max_value=1e4)
+    scales = st.floats(min_value=1e-3, max_value=100.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=counts, shape=shapes, w=widths, scale=scales)
+    def test_gammainc_is_gamma_cdf(self, n, shape, w, scale):
+        a = n * shape
+        assert _same_bits(special.gammainc(a, w / scale),
+                          stats.gamma.cdf(w, a=a, scale=scale))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=counts, w=widths, mean=scales, std=scales)
+    def test_ndtr_is_norm_cdf(self, n, w, mean, std):
+        loc, scale = n * mean, np.sqrt(n) * std
+        assert _same_bits(special.ndtr((w - loc) / scale),
+                          stats.norm.cdf(w, loc=loc, scale=scale))
+
+    @settings(max_examples=100, deadline=None)
+    @given(mean=st.floats(min_value=0.5, max_value=20.0),
+           cv=st.floats(min_value=0.05, max_value=5.0), w=widths)
+    def test_gamma_grid_matches_stats_formula(self, mean, cv, w):
+        pitch = GammaPitch(mean, cv)
+        n = np.arange(0, 64)
+        with np.errstate(invalid="ignore"):
+            cdf = stats.gamma.cdf(w, a=n * pitch.shape, scale=pitch.scale_nm)
+        assert _same_bits(pitch.sum_cdf_array(n, w), np.where(n == 0, 1.0, cdf))
+
+    @settings(max_examples=100, deadline=None)
+    @given(mean=st.floats(min_value=0.5, max_value=20.0), w=widths)
+    def test_exponential_grid_matches_stats_formula(self, mean, w):
+        pitch = ExponentialPitch(mean)
+        n = np.arange(0, 64)
+        with np.errstate(invalid="ignore"):
+            cdf = stats.gamma.cdf(w, a=n, scale=mean)
+        assert _same_bits(pitch.sum_cdf_array(n, w), np.where(n == 0, 1.0, cdf))
+
+    @settings(max_examples=50, deadline=None)
+    @given(mean=st.floats(min_value=0.5, max_value=20.0),
+           cv=st.floats(min_value=0.05, max_value=1.0), w=widths)
+    def test_truncated_normal_grid_matches_stats_formula(self, mean, cv, w):
+        pitch = TruncatedNormalPitch(mean, cv * mean)
+        n = np.arange(0, 64)
+        safe_n = np.maximum(n, 1)
+        clt = stats.norm.cdf(
+            w, loc=safe_n * pitch.mean_nm, scale=np.sqrt(safe_n) * pitch.std_nm
+        )
+        expected = np.where(n == 1, pitch._dist.cdf(w), clt)
+        assert _same_bits(pitch.sum_cdf_array(n, w), np.where(n == 0, 1.0, expected))

@@ -90,6 +90,18 @@ class TestEtaBoundContract:
         exact = exact_log(family, w, d, eta)
         assert float(result.log_failure[0]) == pytest.approx(exact, abs=1e-12)
 
+    def test_exact_fallback_is_not_shared_across_nearby_etas(self, family):
+        # eta = 1 is opens-only; one ulp below it a short term switches on
+        # and dominates far off the grid, so the two must not share a cache
+        # entry however the queries are ordered.
+        w = np.array([W_HIGH * 2.0])
+        d = np.array([D_LOW])
+        below = float(np.nextafter(1.0, 0.0))
+        opens_only = family.query(w, d, 1.0)
+        shorted = family.query(w, d, below)
+        assert float(shorted.log_failure[0]) == exact_log(family, w[0], d[0], below)
+        assert float(shorted.log_failure[0]) > float(opens_only.log_failure[0])
+
     @settings(max_examples=100, deadline=None)
     @given(w=widths, d=densities, e1=etas_in_range, e2=etas_in_range)
     def test_served_failure_nonincreasing_in_eta(self, family, w, d, e1, e2):

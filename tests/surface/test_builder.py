@@ -438,3 +438,21 @@ class TestShortsSweep:
         )).build()
         assert clean.content_hash != shorted.content_hash
         assert np.all(shorted.log_failure >= clean.log_failure - 1e-12)
+
+
+class TestRenewalColumnFill:
+    """Surfaces on a renewal pitch are built from column-filled count pmfs.
+
+    The hashes below were recorded with the per-width renewal pmf (one
+    CDF evaluation and tail walk per width); the column fill must not
+    move a single bit of the swept values.
+    """
+
+    @pytest.mark.parametrize("shorts, expected", [
+        ({}, "f99e07b36bd9d8604511422f6439781a4f9935bf282eb1c63ecb1fe80ca5fa1b"),
+        (dict(metallic_fraction=1.0 / 3.0, removal_eta=0.99),
+         "c94c24d72c57dd6459c88ec757cdee5ac2ce54139a7287cddd91cda05baf0a41"),
+    ])
+    def test_gamma_content_hash_is_pinned(self, shorts, expected):
+        surface = SurfaceBuilder(small_spec(pitch=GammaPitch(4.0, 0.8), **shorts)).build()
+        assert surface.content_hash == expected
