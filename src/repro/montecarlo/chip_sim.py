@@ -199,8 +199,13 @@ def _chip_window_counts_joint(
     modes are decided by *one* uniform per tube — the three per-tube states
     partition ``[0, 1)`` as ``[0, q)`` short, ``[q, pf)`` dud and
     ``[pf, 1)`` working — so the joint mode consumes exactly the RNG stream
-    of the opens-only mode and ``q = 0`` runs are bitwise unchanged, as are
-    the shared-kernel consumers (wafer tier, timing tier).
+    of the opens-only mode and ``q = 0`` runs are bitwise unchanged.  Both
+    masks are counted by one call that shares its banded search.  This is
+    the shared sampling kernel of the chip simulator, the wafer tier's
+    per-die chip runs (:func:`repro.montecarlo.wafer_sim.run_chip_wafer`)
+    and the timing tier (:mod:`repro.timing.parametric`): all consume the
+    generator identically, which is what keeps functional and parametric
+    yield answerable from the *same* per-trial tracks.
     """
     n_rows = geometry.n_rows
     batch = sample_track_batch(
@@ -208,73 +213,55 @@ def _chip_window_counts_joint(
         dtype=geometry.dtype,
     )
     u = uniform_draws(rng, batch.positions.shape, geometry.dtype)
-    working = (u >= geometry.per_cnt_failure) & batch.valid
+    masks = ((u >= geometry.per_cnt_failure) & batch.valid,)
+    if geometry.short_probability > 0.0:
+        masks += ((u < geometry.short_probability) & batch.valid,)
 
     n_windows = geometry.window_lo.size
     trial_index = (
         np.repeat(np.arange(n_chunk) * n_rows, n_windows)
         + np.tile(geometry.window_row, n_chunk)
     )
-    lo = np.tile(geometry.window_lo, n_chunk)
-    hi = np.tile(geometry.window_hi, n_chunk)
-    good = count_in_windows_flat(
-        batch.positions,
-        working,
-        geometry.row_height_nm,
-        lo,
-        hi,
-        trial_index,
-    ).reshape(n_chunk, n_windows)
-    if geometry.short_probability <= 0.0:
-        return good, None
-    shorting = (u < geometry.short_probability) & batch.valid
-    shorts = count_in_windows_flat(
-        batch.positions,
-        shorting,
-        geometry.row_height_nm,
-        lo,
-        hi,
-        trial_index,
-    ).reshape(n_chunk, n_windows)
-    return good, shorts
+    counts = [
+        c.reshape(n_chunk, n_windows)
+        for c in count_in_windows_flat(
+            batch.positions,
+            masks,
+            geometry.row_height_nm,
+            np.tile(geometry.window_lo, n_chunk),
+            np.tile(geometry.window_hi, n_chunk),
+            trial_index,
+        )
+    ]
+    return counts[0], (counts[1] if len(counts) > 1 else None)
 
 
-def _chip_window_counts(
-    geometry: _ChipGeometry, n_chunk: int, rng: np.random.Generator
+def _failing_windows(
+    geometry: _ChipGeometry, good: np.ndarray, shorts: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Per-(trial, distinct window) working-tube counts for one chunk.
+    """The window failure predicate: ``good < N_min`` or any surviving short.
 
-    The working-count view of :func:`_chip_window_counts_joint`.  This is
-    the shared sampling kernel of :func:`_simulate_chip_chunk`, the wafer
-    tier's per-die chip runs
-    (:func:`repro.montecarlo.wafer_sim.run_chip_wafer`) and the timing
-    tier (:mod:`repro.timing.parametric`) — all consume the generator
-    identically, which is what keeps functional and parametric yield
-    answerable from the *same* per-trial tracks.
+    ``good`` and ``shorts`` are the counts of
+    :func:`_chip_window_counts_joint`.  Counts are whole numbers, so at
+    ``N_min = 1`` this is exactly the opens-only ``good == 0``.
     """
-    return _chip_window_counts_joint(geometry, n_chunk, rng)[0]
+    failing = good < geometry.min_working_tubes
+    if shorts is not None:
+        failing |= shorts > 0
+    return failing
 
 
 def _chip_window_failures(
     geometry: _ChipGeometry, n_chunk: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Boolean failing matrix ``(n_chunk, n_windows)``.
+    """Boolean failing matrix ``(n_chunk, n_windows)`` of one chunk.
 
-    A window fails with fewer than ``min_working_tubes`` working tubes
-    (open) or at least one surviving short.  Thin view over
-    :func:`_chip_window_counts_joint`; retained as the kernel the
-    functional-yield consumers call.  The opens-only predicate is kept as
-    the literal ``== 0`` comparison so the default configuration stays
-    bitwise identical to the pre-shorts engine.
+    :func:`_failing_windows` over :func:`_chip_window_counts_joint`; the
+    kernel the functional-yield consumers call.
     """
-    good, shorts = _chip_window_counts_joint(geometry, n_chunk, rng)
-    if geometry.min_working_tubes <= 1:
-        failing = good == 0
-    else:
-        failing = good < geometry.min_working_tubes
-    if shorts is not None:
-        failing = failing | (shorts > 0)
-    return failing
+    return _failing_windows(
+        geometry, *_chip_window_counts_joint(geometry, n_chunk, rng)
+    )
 
 
 def _simulate_chip_chunk(
@@ -332,7 +319,7 @@ def _simulate_chip_chunk_tilted(
     hi = np.tile(geometry.window_hi, n_chunk)
     counts, stop_index = count_in_windows_flat(
         batch.positions,
-        np.asarray(batch.valid, dtype=geometry.dtype),
+        batch.valid,
         geometry.row_height_nm,
         np.tile(geometry.window_lo, n_chunk),
         hi,
@@ -517,11 +504,11 @@ class ChipMonteCarlo:
         Replays the exact clamping of :meth:`_collect_device_windows` and the
         per-row insertion-ordered deduplication of :meth:`_build_geometry`,
         so the returned indices address columns of the count matrices the
-        chunk kernels produce (:func:`_chip_window_counts`).  Instances are
-        returned in placement order; an instance without transistors (filler
-        cells) gets an empty index list.  This is the bridge the timing tier
-        uses to read each gate's captured-tube count out of the same sampled
-        tracks that decide functional yield.
+        chunk kernels produce (:func:`_chip_window_counts_joint`).  Instances
+        are returned in placement order; an instance without transistors
+        (filler cells) gets an empty index list.  This is the bridge the
+        timing tier uses to read each gate's captured-tube count out of the
+        same sampled tracks that decide functional yield.
         """
         result: List[Tuple[PlacedInstance, List[int]]] = []
         next_global = 0

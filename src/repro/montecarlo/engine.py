@@ -18,6 +18,8 @@ array programs over a leading ``(n_trials, ...)`` batch axis:
   already sorted (a ``cumsum`` of positive gaps), so shifting trial ``t``
   by ``t * stride`` makes the whole batch globally sorted and two
   ``searchsorted`` calls plus a prefix sum answer every query at once.
+  Slot columns past the span in every row are cut before banding, and a
+  tuple of weights (e.g. working and shorting masks) shares one search.
 * :func:`sample_track_counts` — memory-bounded helper returning only the
   per-trial track counts (used when the positions themselves are not
   needed, e.g. device-level failure estimation).
@@ -38,8 +40,10 @@ memory traffic on the banded searches).  Entry points take ``dtype=``;
 * draws always consume the caller's generator in its native float64 and
   are cast afterwards (:func:`uniform_draws`, :func:`sample_gaps`), so
   both policies see the *same* random numbers;
-* window counts accumulate in float64 whatever the storage dtype
-  (:func:`prefix_sum`), as do likelihood-ratio weights;
+* window counts are exact whatever the storage dtype
+  (:func:`prefix_sum`): boolean (0/1) masks accumulate in an integer
+  prefix, float weights in float64, as do likelihood-ratio weights;
+  counts are returned as float64 either way;
 * search operands are cast to the positions dtype (:func:`match_dtype`) —
   NumPy would otherwise silently promote a float32 haystack to float64
   on every query batch;
@@ -164,14 +168,20 @@ def sample_gaps(
 
 
 def prefix_sum(values: np.ndarray) -> np.ndarray:
-    """Zero-prefixed inclusive cumulative sum, accumulated in float64.
+    """Zero-prefixed inclusive cumulative sum of the flattened ``values``.
 
-    Element ``i`` of the ``len(values) + 1`` result is ``sum(values[:i])``.
-    Window counting is the step most sensitive to float32 rounding, so it
-    accumulates in float64 under either dtype policy.
+    Element ``i`` of the ``values.size + 1`` result is the sum of the first
+    ``i`` elements in C order.  Window counting is the step most sensitive
+    to float32 rounding, so it never accumulates in the storage dtype:
+    boolean (0/1) masks accumulate in an exact integer prefix (int32, or
+    int64 once the total could pass 2**31 - 1), anything else in float64.
     """
-    out = np.zeros(values.shape[0] + 1, dtype=np.float64)
-    np.cumsum(values, out=out[1:])
+    if values.dtype == np.bool_:
+        dtype = np.int32 if values.size < np.iinfo(np.int32).max else np.int64
+    else:
+        dtype = np.float64
+    out = np.zeros(values.size + 1, dtype=dtype)
+    np.cumsum(values, dtype=dtype, out=out[1:])
     return out
 
 
@@ -299,6 +309,36 @@ def sample_track_counts(
     return counts
 
 
+#: Clip margin of the banded search: rows are clipped to
+#: ``[-pad, span + pad]`` and spaced ``span + 4 * pad`` apart.
+_BAND_PAD = 1.0
+
+
+def _live_slots(positions: np.ndarray, span_nm: float) -> int:
+    """Leading slot columns an in-span query can reach.
+
+    Rows are sorted, so once a column lies beyond ``span + pad`` in every
+    row, so do all later ones.  Their clipped band values exceed every
+    query of their row, so no window contains them and no stop index
+    passes them: cutting the slot axis there leaves every count and stop
+    index unchanged.  A binary search over the columns finds the cut in
+    about ``n_rows * log2(n_slots)`` comparisons.  When some row's last
+    column does not clear ``span + pad``, every slot is kept.
+    """
+    limit = span_nm + _BAND_PAD
+    n_slots = positions.shape[1]
+    if n_slots == 0 or not np.all(positions[:, -1] > limit):
+        return n_slots
+    first, last = 0, n_slots - 1
+    while first < last:
+        mid = (first + last) // 2
+        if np.all(positions[:, mid] > limit):
+            last = mid
+        else:
+            first = mid + 1
+    return last
+
+
 def _banded_positions(
     positions: np.ndarray, span_nm: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -318,7 +358,7 @@ def _banded_positions(
     (correctness beats the bandwidth saving; float64 batches never hit
     this, their ulp at any realistic band is sub-femtometre).
     """
-    pad = 1.0
+    pad = _BAND_PAD
     stride = span_nm + 4.0 * pad
     band_dtype = positions.dtype
     if band_dtype == np.dtype(np.float32):
@@ -327,8 +367,9 @@ def _banded_positions(
             band_dtype = np.dtype(np.float64)
             positions = np.asarray(positions, dtype=band_dtype)
     offsets = np.arange(positions.shape[0], dtype=band_dtype) * stride
-    flat = np.ravel(np.clip(positions, -pad, span_nm + pad) + offsets[:, None])
-    return flat, offsets
+    band = np.clip(positions, -pad, span_nm + pad)
+    band += offsets[:, None]
+    return band.ravel(), offsets
 
 
 def window_stop_indices(
@@ -343,17 +384,18 @@ def window_stop_indices(
     slot; :func:`sample_track_batch` guarantees the index exists for any
     bound inside the span (the last slot always clears it).
     """
-    flat, offsets = _banded_positions(positions, span_nm)
+    live = positions[:, :_live_slots(positions, span_nm)]
+    flat, offsets = _banded_positions(live, span_nm)
     right = np.searchsorted(
         flat, match_dtype(hi, flat) + np.take(offsets, trial_index),
         side="right",
     )
-    return right - trial_index * positions.shape[1]
+    return right - trial_index * live.shape[1]
 
 
 def count_in_windows_flat(
     positions: np.ndarray,
-    weights: np.ndarray,
+    weights,
     span_nm: float,
     lo: np.ndarray,
     hi: np.ndarray,
@@ -369,7 +411,9 @@ def count_in_windows_flat(
         (as produced by :func:`sample_track_batch`).
     weights:
         Per-slot weights, same shape; must already be zero on slots that
-        should not count (out-of-span tracks, failed tubes).
+        should not count (out-of-span tracks, failed tubes).  A tuple of
+        such arrays (e.g. the working and the shorting mask) is answered
+        from one shared banded search, one count array per weight.
     span_nm:
         Span of the trials; queries must lie inside ``[0, span_nm]``.
     lo, hi:
@@ -383,32 +427,45 @@ def count_in_windows_flat(
         but sharing this pass's searchsorted work — the rare-event chip
         sampler needs both).
 
-    Returns the weighted count per query, shape ``(n_queries,)`` (plus the
-    stop indices when requested).  Counts accumulate in float64, even
-    under the float32 policy.
+    Returns the weighted count per query, shape ``(n_queries,)`` — a tuple
+    of them when ``weights`` is a tuple — plus the stop indices when
+    requested.  Counts are float64 under either dtype policy; boolean
+    weights count exactly in an integer prefix (see :func:`prefix_sum`).
     """
-    flat, offsets = _banded_positions(positions, span_nm)
-    prefix = prefix_sum(np.ravel(weights))
+    live = positions[:, :_live_slots(positions, span_nm)]
+    flat, offsets = _banded_positions(live, span_nm)
     shift = np.take(offsets, trial_index)
     left = np.searchsorted(flat, match_dtype(lo, flat) + shift, side="left")
     right = np.searchsorted(flat, match_dtype(hi, flat) + shift, side="right")
-    counts = np.take(prefix, right) - np.take(prefix, left)
+
+    def window_sums(w: np.ndarray) -> np.ndarray:
+        prefix = prefix_sum(w[:, :live.shape[1]])
+        return np.subtract(
+            np.take(prefix, right), np.take(prefix, left), dtype=np.float64
+        )
+
+    if isinstance(weights, tuple):
+        counts = tuple(window_sums(np.asarray(w)) for w in weights)
+    else:
+        counts = window_sums(np.asarray(weights))
     if return_stop_index:
-        return counts, right - trial_index * positions.shape[1]
+        return counts, right - trial_index * live.shape[1]
     return counts
 
 
 def count_in_windows(
     batch: TrackBatch,
-    weights: np.ndarray,
+    weights,
     lo: np.ndarray,
     hi: np.ndarray,
-) -> np.ndarray:
+):
     """Weighted track counts on a regular ``(n_trials, n_windows)`` grid.
 
     ``lo`` / ``hi`` may be ``(n_windows,)`` (the same windows for every
     trial) or ``(n_trials, n_windows)`` (per-trial windows, e.g. random
-    device offsets).  Returns counts of shape ``(n_trials, n_windows)``.
+    device offsets).  Returns counts of shape ``(n_trials, n_windows)``;
+    a tuple of weights (see :func:`count_in_windows_flat`) returns a
+    tuple of such grids from one shared search.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -430,6 +487,8 @@ def count_in_windows(
         hi.ravel(),
         trial_index,
     )
+    if isinstance(counts, tuple):
+        return tuple(c.reshape(n_trials, n_windows) for c in counts)
     return counts.reshape(n_trials, n_windows)
 
 

@@ -689,7 +689,7 @@ class NonAlignedRowModel(_RowModelBase):
         )
         lo = state["dev_u"] * self.cell_height_window_nm
         counts = count_in_windows(
-            batch, working.astype(float), lo, lo + self.device_width_nm
+            batch, working, lo, lo + self.device_width_nm
         )
         return counts.min(axis=1)
 

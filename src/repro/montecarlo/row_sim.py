@@ -269,16 +269,15 @@ class RowMonteCarlo:
                 rng.random((n, config.devices_per_segment))
                 * config.cell_height_window_nm
             )
-            counts = count_in_windows(
-                batch, working, offsets, offsets + config.device_width_nm
-            )
-            failing = np.any(counts == 0, axis=1)
+            masks = (working,)
             if q > 0.0:
-                shorting = (u < q) & batch.valid
-                short_counts = count_in_windows(
-                    batch, shorting, offsets, offsets + config.device_width_nm
-                )
-                failing = failing | np.any(short_counts > 0, axis=1)
+                masks += ((u < q) & batch.valid,)
+            counts = count_in_windows(
+                batch, masks, offsets, offsets + config.device_width_nm
+            )
+            failing = np.any(counts[0] == 0, axis=1)
+            if q > 0.0:
+                failing |= np.any(counts[1] > 0, axis=1)
             failures[done:done + n] = failing
             done += n
         return failures

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.growth.pitch import DeterministicPitch, ExponentialPitch, GammaPitch
 from repro.montecarlo.engine import (
     TrackBatch,
+    _live_slots,
     chunk_sizes,
     count_in_windows,
     count_in_windows_flat,
+    prefix_sum,
     run_chunked,
     sample_track_batch,
     sample_track_counts,
@@ -125,6 +129,146 @@ class TestCountInWindows:
                 np.zeros((3, 2)),
                 np.ones((3, 2)),
             )
+
+
+def _untrimmed_reference(positions, weights, span_nm, lo, hi, trial_index):
+    """The window counter without dead-slot trimming or integer prefix.
+
+    Bands every slot of every row exactly as the engine does (same pad,
+    stride and float32 -> float64 promotion rule) and accumulates the
+    weights in a float64 prefix.  Returns ``(counts, stop_index)``.
+    """
+    pad = 1.0
+    stride = span_nm + 4.0 * pad
+    band_dtype = positions.dtype
+    if band_dtype == np.dtype(np.float32):
+        top_offset = np.float32((positions.shape[0] - 1) * stride)
+        if np.spacing(top_offset) > pad / 8.0:
+            band_dtype = np.dtype(np.float64)
+            positions = positions.astype(band_dtype)
+    offsets = np.arange(positions.shape[0], dtype=band_dtype) * stride
+    flat = np.ravel(np.clip(positions, -pad, span_nm + pad) + offsets[:, None])
+    prefix = np.zeros(flat.size + 1)
+    np.cumsum(np.ravel(weights), out=prefix[1:])
+    shift = offsets[trial_index]
+    left = np.searchsorted(flat, lo.astype(flat.dtype) + shift, side="left")
+    right = np.searchsorted(flat, hi.astype(flat.dtype) + shift, side="right")
+    return prefix[right] - prefix[left], right - trial_index * positions.shape[1]
+
+
+@st.composite
+def window_problems(draw):
+    """A sampled batch, per-slot weights and a flat list of window queries.
+
+    ``cleared=False`` cuts the slot axis so that some row's last column
+    stays inside the span: nothing may then be trimmed.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    dtype = draw(st.sampled_from(["float64", "float32"]))
+    span = draw(st.floats(20.0, 300.0))
+    n_trials = draw(st.integers(1, 12))
+    cleared = draw(st.booleans())
+    fractional = draw(st.booleans())
+    n_queries = draw(st.integers(1, 40))
+    rng = np.random.default_rng(seed)
+    batch = sample_track_batch(
+        GammaPitch(draw(st.floats(2.0, 20.0)), draw(st.floats(0.3, 1.2))),
+        span, n_trials, rng, dtype=dtype,
+    )
+    positions, valid = batch.positions, batch.valid
+    if not cleared:
+        keep = max(1, int(valid.sum(axis=1).min()))
+        positions, valid = positions[:, :keep], valid[:, :keep]
+    u = rng.random(positions.shape)
+    masks = ((u >= 0.4) & valid, (u < 0.1) & valid)
+    if fractional:
+        masks += (np.where(valid, rng.random(positions.shape), 0.0),)
+    lo = rng.random(n_queries) * span
+    hi = np.minimum(lo + rng.random(n_queries) * span / 3.0, span)
+    # Windows touching the span edges, where the last live slot matters.
+    lo[rng.random(n_queries) < 0.2] = 0.0
+    hi[rng.random(n_queries) < 0.2] = span
+    trial_index = rng.integers(0, n_trials, size=n_queries)
+    return positions, masks, span, lo, hi, trial_index, cleared
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestSharedWindowSearch:
+    """One banded search for a tuple of weights equals one call per weight."""
+
+    @PROPERTY_SETTINGS
+    @given(window_problems())
+    def test_tuple_call_equals_separate_calls(self, problem):
+        positions, masks, span, lo, hi, trial_index, _ = problem
+        joint, joint_stop = count_in_windows_flat(
+            positions, masks, span, lo, hi, trial_index, return_stop_index=True
+        )
+        assert isinstance(joint, tuple) and len(joint) == len(masks)
+        for mask, counts in zip(masks, joint):
+            single, stop = count_in_windows_flat(
+                positions, mask, span, lo, hi, trial_index,
+                return_stop_index=True,
+            )
+            assert counts.dtype == np.float64
+            np.testing.assert_array_equal(counts, single)
+            np.testing.assert_array_equal(joint_stop, stop)
+
+    @PROPERTY_SETTINGS
+    @given(window_problems())
+    def test_matches_untrimmed_float64_reference(self, problem):
+        positions, masks, span, lo, hi, trial_index, cleared = problem
+        if not cleared:
+            assert _live_slots(positions, span) == positions.shape[1]
+        joint, stop = count_in_windows_flat(
+            positions, masks, span, lo, hi, trial_index, return_stop_index=True
+        )
+        for mask, counts in zip(masks, joint):
+            expected, expected_stop = _untrimmed_reference(
+                positions, mask, span, lo, hi, trial_index
+            )
+            np.testing.assert_array_equal(stop, expected_stop)
+            if mask.dtype == np.bool_:
+                # 0/1 masks count exactly: the integer prefix is bitwise
+                # the float64 one.
+                np.testing.assert_array_equal(counts, expected)
+            else:
+                # A shorter float64 prefix only reorders rounding.
+                np.testing.assert_allclose(counts, expected, rtol=1e-12, atol=1e-12)
+
+    def test_sampled_batches_are_trimmed(self, rng):
+        batch = sample_track_batch(ExponentialPitch(20.0), 1400.0, 64, rng)
+        live = _live_slots(batch.positions, 1400.0)
+        assert live < batch.positions.shape[1]
+        # The first dropped column lies past the span in every row.
+        assert np.all(batch.positions[:, live] > 1400.0)
+
+    def test_grid_passes_tuples_through(self, rng):
+        batch = sample_track_batch(ExponentialPitch(6.0), 300.0, 16, rng)
+        u = rng.random(batch.positions.shape)
+        masks = ((u >= 0.3) & batch.valid, (u < 0.05) & batch.valid)
+        lo = rng.random((16, 9)) * 250.0
+        hi = lo + rng.random((16, 9)) * 50.0
+        grids = count_in_windows(batch, masks, lo, hi)
+        assert isinstance(grids, tuple) and len(grids) == 2
+        for mask, grid in zip(masks, grids):
+            np.testing.assert_array_equal(
+                grid, _brute_force_counts(batch, mask, lo, hi)
+            )
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_prefix_dtype_rule(self, dtype):
+        mask = np.array([[True, False, True], [True, True, False]])
+        out = prefix_sum(mask)
+        assert out.dtype == np.int32
+        np.testing.assert_array_equal(out, [0, 1, 1, 2, 3, 4, 4])
+        weights = mask.astype(dtype)
+        assert prefix_sum(weights).dtype == np.float64
+        np.testing.assert_array_equal(prefix_sum(weights), out)
 
 
 class TestStreamsAndChunks:

@@ -2,7 +2,8 @@
 
 ``tests/fixtures/golden_engine_values.json`` freezes the exact outputs of
 the original batched engine (PR 1/2 numerics) for a small chip run, a
-tilted chip-tail run, and a device tail estimate, all under pinned seeds.
+tilted chip-tail run, and a device tail estimate, all under pinned seeds,
+plus shorts-on chip runs and a SHA-256 of shorts-on timing critical paths.
 Any change to the engine's numerics — a reordered reduction, a dtype
 promotion, a different RNG consumption pattern — shifts these values and
 shows up here as a visible diff instead of silent statistical drift.
@@ -14,6 +15,7 @@ exactly; smooth functionals allow 1e-9 relative slack for cross-platform
 libm differences in ``exp``/``log``.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -28,6 +30,7 @@ from repro.montecarlo.chip_sim import ChipMonteCarlo
 from repro.montecarlo.rare_event import estimate_device_failure_tilted
 from repro.netlist.openrisc import build_openrisc_like_design
 from repro.netlist.placement import RowPlacement
+from repro.timing import TimingMonteCarlo
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "golden_engine_values.json"
 
@@ -80,6 +83,39 @@ class TestGoldenChipNaive:
         )
 
 
+def _assert_chip_pins(result, g):
+    """Exact count statistics, 1e-9 on the smooth ones."""
+    assert result.device_count == g["device_count"]
+    assert result.small_device_count == g["small_device_count"]
+    assert result.mean_failing_devices == g["mean_failing_devices"]
+    assert result.mean_failing_rows == g["mean_failing_rows"]
+    assert result.chip_yield == g["chip_yield"]
+    assert result.std_failing_devices == pytest.approx(
+        g["std_failing_devices"], rel=REL
+    )
+    assert result.device_failure_rate == pytest.approx(
+        g["device_failure_rate"], rel=REL
+    )
+
+
+def _shorts_simulator(g, dtype, mean_pitch_nm=20.0):
+    """The golden placement under the shorts type model of record ``g``."""
+    library = build_nangate45_library()
+    design = build_openrisc_like_design(library, scale=g["scale"], seed=2010)
+    placement = RowPlacement(design, row_width_nm=40_000.0)
+    return ChipMonteCarlo(
+        placement,
+        pitch=ExponentialPitch(mean_pitch_nm),
+        type_model=CNTTypeModel(
+            g["metallic_fraction"],
+            g["removal_prob_metallic"],
+            g["removal_prob_semiconducting"],
+        ),
+        dtype=dtype,
+        min_working_tubes=g.get("min_working_tubes", 1),
+    )
+
+
 class TestGoldenChipShorts:
     def test_exact_failure_counts_with_shorts(self, golden, reference_dtype):
         # Imperfect metallic removal (eta = 0.95) activates the joint
@@ -87,33 +123,32 @@ class TestGoldenChipShorts:
         # consumption (the shared single-uniform partition) and the
         # short-count window reduction.
         g = golden["chip_shorts"]
-        library = build_nangate45_library()
-        design = build_openrisc_like_design(library, scale=g["scale"], seed=2010)
-        placement = RowPlacement(design, row_width_nm=40_000.0)
-        simulator = ChipMonteCarlo(
-            placement,
-            pitch=ExponentialPitch(20.0),
-            type_model=CNTTypeModel(
-                g["metallic_fraction"],
-                g["removal_prob_metallic"],
-                g["removal_prob_semiconducting"],
-            ),
-            dtype=reference_dtype,
-        )
-        result = simulator.run(
+        result = _shorts_simulator(g, reference_dtype).run(
             g["n_trials"], np.random.default_rng(g["seed"])
         )
-        assert result.device_count == g["device_count"]
-        assert result.small_device_count == g["small_device_count"]
-        assert result.mean_failing_devices == g["mean_failing_devices"]
-        assert result.mean_failing_rows == g["mean_failing_rows"]
-        assert result.chip_yield == g["chip_yield"]
-        assert result.std_failing_devices == pytest.approx(
-            g["std_failing_devices"], rel=REL
+        _assert_chip_pins(result, g)
+
+    @pytest.mark.parametrize("key", ["chip_shorts_nmin2", "chip_shorts_float32"])
+    def test_shorts_variants(self, golden, key):
+        # A two-tube open threshold and the float32 positions policy, pinned
+        # bitwise: counting the working and shorting masks from one shared
+        # banded search must leave every count in place.
+        g = golden[key]
+        result = _shorts_simulator(g, g["dtype"]).run(
+            g["n_trials"], np.random.default_rng(g["seed"])
         )
-        assert result.device_failure_rate == pytest.approx(
-            g["device_failure_rate"], rel=REL
+        _assert_chip_pins(result, g)
+
+    def test_timing_critical_paths_with_shorts(self, golden):
+        # Gate currents come from the working counts of the shared kernel;
+        # the critical paths are pinned byte for byte.
+        g = golden["timing_shorts"]
+        chip = _shorts_simulator(g, g["dtype"], mean_pitch_nm=g["mean_pitch_nm"])
+        result = TimingMonteCarlo.from_chip(chip).run(
+            g["n_trials"], np.random.default_rng(g["seed"])
         )
+        digest = hashlib.sha256(result.critical_path_ps.tobytes()).hexdigest()
+        assert digest == g["critical_path_sha256"]
 
 
 class TestGoldenChipTilted:

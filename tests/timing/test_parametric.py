@@ -6,7 +6,13 @@ import pytest
 from repro.analysis.delay import GateDelayModel
 from repro.core.count_model import PoissonCountModel
 from repro.growth.types import CNTTypeModel
+from repro.montecarlo.chip_sim import (
+    ChipMonteCarlo,
+    _chip_window_counts_joint,
+    _chip_window_failures,
+)
 from repro.timing import TimingMonteCarlo, parse_timing_graph
+from repro.timing.parametric import _simulate_timing_chunk
 
 N_TRIALS = 64
 SEED = 123
@@ -56,6 +62,55 @@ def test_functional_yield_matches_chip_monte_carlo(timing_chip, baseline):
         N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK
     )
     assert baseline.functional_yield == functional.chip_yield
+
+
+#: Corners where the working-only verdict misses failures: surviving
+#: metallic shorts (eta < 1), a two-tube open threshold, and both.
+SHORTS_AND_NMIN = [
+    ((0.30, 0.9999, 0.05), 1),
+    ((0.30, 1.0, 0.05), 2),
+    ((0.30, 0.9999, 0.05), 2),
+]
+
+
+def _variant(timing_chip, type_model, min_working_tubes):
+    return ChipMonteCarlo(
+        timing_chip.placement,
+        pitch=timing_chip.pitch,
+        type_model=CNTTypeModel(*type_model),
+        min_working_tubes=min_working_tubes,
+    )
+
+
+@pytest.mark.parametrize("type_model, min_working_tubes", SHORTS_AND_NMIN)
+def test_chunk_functional_verdict_is_the_chip_predicate(
+    timing_chip, derived_timing, type_model, min_working_tubes
+):
+    # Same stream, same chunk: the timing worker's functional verdict is
+    # exactly "some window of the chip's failing mask", shorts and N_min
+    # included.
+    chip = _variant(timing_chip, type_model, min_working_tubes)
+    tmc = TimingMonteCarlo.from_chip(chip, timing=derived_timing)
+    functional_fail, _ = _simulate_timing_chunk(
+        tmc._payload, 64, np.random.default_rng(3)
+    )
+    geometry = chip.chip_geometry()
+    failing = _chip_window_failures(geometry, 64, np.random.default_rng(3))
+    np.testing.assert_array_equal(functional_fail, failing.any(axis=1))
+    # The corner is one where counting only dead windows would miss some.
+    good, _ = _chip_window_counts_joint(geometry, 64, np.random.default_rng(3))
+    assert functional_fail.sum() > (good == 0).any(axis=1).sum()
+
+
+@pytest.mark.parametrize("type_model, min_working_tubes", SHORTS_AND_NMIN)
+def test_functional_yield_matches_chip_with_shorts_and_n_min(
+    timing_chip, derived_timing, type_model, min_working_tubes
+):
+    chip = _variant(timing_chip, type_model, min_working_tubes)
+    tmc = TimingMonteCarlo.from_chip(chip, timing=derived_timing)
+    timing = tmc.run(N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK)
+    functional = chip.run(N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK)
+    assert timing.functional_yield == functional.chip_yield
 
 
 def test_timing_yield_monotone_in_t_clk(tmc, baseline):
