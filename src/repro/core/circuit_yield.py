@@ -165,16 +165,20 @@ def yield_from_uniform_failure_probability_array(
     """
     p = np.asarray(failure_probabilities, dtype=float)
     m = np.asarray(device_count, dtype=float)
-    if p.size and (np.any(p < 0) | np.any(p > 1)):
+    # count_nonzero, not np.any: the serving tier pays these checks per query.
+    if np.count_nonzero(p < 0) or np.count_nonzero(p > 1):
         raise ValueError("failure probabilities must lie in [0, 1]")
-    if m.size and np.any(m < 0):
+    if np.count_nonzero(m < 0):
         raise ValueError("device_count must be non-negative")
-    if exact:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_yield = m * np.log1p(-p)
-        log_yield = np.where(np.isnan(log_yield), 0.0, log_yield)
-        return np.where((p >= 1.0) & (m > 0), 0.0, np.exp(log_yield))
-    return np.maximum(0.0, 1.0 - m * p)
+    if not exact:
+        return np.maximum(0.0, 1.0 - m * p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_yield = np.asarray(m * np.log1p(-p))
+    # M = 0 at p = 1 gives 0 * -inf = NaN: an empty product, log yield 0.
+    log_yield[np.isnan(log_yield)] = 0.0
+    yields = np.exp(log_yield, out=log_yield)
+    yields[(p >= 1.0) & (m > 0)] = 0.0
+    return yields
 
 
 @dataclass(frozen=True)

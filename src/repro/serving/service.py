@@ -29,7 +29,6 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.circuit_yield import yield_from_uniform_failure_probability_array
-from repro.core.correlation import CorrelationParameters
 from repro.resilience.checkpoint import CorruptArtifactError
 from repro.resilience.degrade import CircuitBreaker, Deadline
 from repro.resilience.guards import check_finite
@@ -326,18 +325,17 @@ class YieldService:
         surf, resolution = self.resolve(surface)
         if resolution != "none":
             degradation.append(resolution)
-        widths = np.atleast_1d(np.asarray(width_nm, dtype=float)).ravel()
+        widths = np.asarray(width_nm, dtype=float).ravel()
         if cnt_density_per_um is None:
             densities = np.full(widths.shape, self._reference_density(surf))
         else:
-            densities = np.atleast_1d(
-                np.asarray(cnt_density_per_um, dtype=float)
-            ).ravel()
+            densities = np.asarray(cnt_density_per_um, dtype=float).ravel()
             if densities.size == 1 and widths.size > 1:
                 densities = np.full(widths.shape, densities[0])
         if densities.shape != widths.shape:
             raise ValueError("width and density query arrays must match in shape")
 
+        # Both arrays are fresh, so the fallback rungs patch them in place.
         log_p, err_log, in_grid = interpolate_log_failure(
             surf, widths, densities, n_sigma=self.n_sigma
         )
@@ -363,31 +361,28 @@ class YieldService:
                     surf.cnt_density_per_um[0],
                     surf.cnt_density_per_um[-1],
                 )
-                log_near, _, _ = interpolate_log_failure(
+                log_p[outside] = interpolate_log_failure(
                     surf, w_clip, d_clip, n_sigma=self.n_sigma
-                )
-                log_p = log_p.copy()
-                err_log = err_log.copy()
-                log_p[outside] = log_near
+                ).log_failure
                 err_log[outside] = np.inf
             else:
-                log_exact, err_exact = self._fallback_values(
+                log_p[outside], err_log[outside] = self._fallback_values(
                     surf, widths[outside], densities[outside], fallback, mc_samples
                 )
-                log_p = log_p.copy()
-                err_log = err_log.copy()
-                log_p[outside] = log_exact
-                err_log[outside] = err_exact
 
         check_finite(log_p, "serving.query.log_failure", allow_inf=True)
-        p = np.exp(np.minimum(log_p, 0.0))
-        p_lower = np.exp(np.minimum(log_p - err_log, 0.0))
-        p_upper = np.minimum(np.exp(log_p + err_log), 1.0)
-
-        counts = self._effective_counts(surf, device_count)
-        chip_yield = yield_from_uniform_failure_probability_array(p, counts)
-        yield_lower = yield_from_uniform_failure_probability_array(p_upper, counts)
-        yield_upper = yield_from_uniform_failure_probability_array(p_lower, counts)
+        # One pass for all three bounds: rows are (p, p_upper, p_lower),
+        # so the yield rows come out as (yield, lower, upper).
+        p = np.empty((3, widths.size))
+        np.minimum(log_p, 0.0, out=p[0])
+        np.add(log_p, err_log, out=p[1])
+        np.subtract(log_p, err_log, out=p[2])
+        np.minimum(p[2], 0.0, out=p[2])
+        np.exp(p, out=p)
+        np.minimum(p[1], 1.0, out=p[1])
+        yields = yield_from_uniform_failure_probability_array(
+            p, self._effective_counts(surf, device_count)
+        )
 
         with self._lock:
             # Both counters are per-entry: a degraded batch degrades every
@@ -398,12 +393,12 @@ class YieldService:
                 self.degraded_queries += int(widths.size)
         return QueryResult(
             scenario=surf.scenario,
-            failure_probability=p,
-            failure_lower=p_lower,
-            failure_upper=p_upper,
-            chip_yield=chip_yield,
-            yield_lower=yield_lower,
-            yield_upper=yield_upper,
+            failure_probability=p[0],
+            failure_lower=p[2],
+            failure_upper=p[1],
+            chip_yield=yields[0],
+            yield_lower=yields[1],
+            yield_upper=yields[2],
             interpolated=in_grid,
             degraded=bool(degradation),
             degradation=tuple(degradation) if degradation else ("none",),
@@ -487,8 +482,7 @@ class YieldService:
         counts = np.asarray(device_count, dtype=float)
         if surface.scenario == SCENARIO_DEVICE:
             return counts
-        params = CorrelationParameters(**surface.metadata["correlation"])
-        return counts / params.devices_per_row
+        return counts / surface.devices_per_row
 
     def _evaluator(
         self, surface: YieldSurface, method: str, mc_samples: int

@@ -39,7 +39,6 @@ from repro.surface.builder import (
     SurfaceBuilder,
     SweepSpec,
 )
-from repro.surface.grid import bilinear_interpolate
 from repro.surface.surface import YieldSurface
 from repro.units import ensure_probability
 
@@ -62,25 +61,6 @@ class EtaQuery(NamedTuple):
     log_failure: np.ndarray
     error_log: np.ndarray
     exact: np.ndarray
-
-
-def _interpolate_surface(
-    surface: YieldSurface, widths: np.ndarray, densities: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(log p, error bound) of one node surface at in-grid query points.
-
-    Mirrors the serving layer's bound: probed cell residual plus float
-    slack.  The family builds closed-form surfaces only, so the
-    statistical channel is identically zero and does not contribute.
-    """
-    log_p, i, j = bilinear_interpolate(
-        surface.width_nm,
-        surface.cnt_density_per_um,
-        surface.log_failure,
-        widths,
-        densities,
-    )
-    return np.minimum(log_p, 0.0), surface.interp_error_log[i, j] + FLOAT_SLACK_LOG
 
 
 class EtaSurfaceFamily:
@@ -145,6 +125,9 @@ class EtaSurfaceFamily:
             if not 0.0 < float(fraction) < 1.0:
                 raise ValueError("eta probe fractions must lie strictly in (0, 1)")
 
+        # Imported here: ``repro.serving`` imports this package.
+        from repro.serving.interpolate import interpolate_log_failure
+
         surfaces = [
             SurfaceBuilder(dataclasses.replace(spec, removal_eta=eta)).build()
             for eta in etas
@@ -157,8 +140,10 @@ class EtaSurfaceFamily:
 
         errors: List[float] = []
         for k in range(len(etas) - 1):
-            lo_vals, _ = _interpolate_surface(surfaces[k], w_flat, d_flat)
-            hi_vals, _ = _interpolate_surface(surfaces[k + 1], w_flat, d_flat)
+            lo_vals, hi_vals = (
+                interpolate_log_failure(node, w_flat, d_flat).log_failure
+                for node in surfaces[k:k + 2]
+            )
             worst = INTERP_ERROR_FLOOR
             for fraction in eta_probe_fractions:
                 t = float(fraction)
@@ -239,20 +224,24 @@ class EtaSurfaceFamily:
     def _query_interpolated(
         self, w_flat: np.ndarray, d_flat: np.ndarray, eta: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        from repro.serving.interpolate import interpolate_log_failure
+
+        # n_sigma = 0: the nodes are closed-form surfaces with no
+        # statistical channel, so each bound is cell residual plus slack.
         hi_idx = int(np.searchsorted(self.removal_etas, eta, side="left"))
         if self.removal_etas[hi_idx] == eta:
-            surface = self.surfaces[hi_idx]
-            values, errors = _interpolate_surface(surface, w_flat, d_flat)
-            in_grid = surface.covers(w_flat, d_flat)
+            values, errors, in_grid = interpolate_log_failure(
+                self.surfaces[hi_idx], w_flat, d_flat, n_sigma=0.0
+            )
         else:
             lo_idx = hi_idx - 1
             e_lo, e_hi = self.removal_etas[lo_idx], self.removal_etas[hi_idx]
             t = (eta - e_lo) / (e_hi - e_lo)
-            lo_vals, lo_errs = _interpolate_surface(
-                self.surfaces[lo_idx], w_flat, d_flat
+            lo_vals, lo_errs, lo_in = interpolate_log_failure(
+                self.surfaces[lo_idx], w_flat, d_flat, n_sigma=0.0
             )
-            hi_vals, hi_errs = _interpolate_surface(
-                self.surfaces[hi_idx], w_flat, d_flat
+            hi_vals, hi_errs, hi_in = interpolate_log_failure(
+                self.surfaces[hi_idx], w_flat, d_flat, n_sigma=0.0
             )
             values = np.minimum((1.0 - t) * lo_vals + t * hi_vals, 0.0)
             errors = (
@@ -260,15 +249,11 @@ class EtaSurfaceFamily:
                 + self.eta_interp_error_log[lo_idx]
                 + FLOAT_SLACK_LOG
             )
-            in_grid = self.surfaces[lo_idx].covers(
-                w_flat, d_flat
-            ) & self.surfaces[hi_idx].covers(w_flat, d_flat)
+            in_grid = lo_in & hi_in
 
         exact = ~in_grid
         if exact.any():
             off_vals, _ = self._fallback(eta).points(w_flat[exact], d_flat[exact])
-            values = values.copy()
-            errors = errors.copy()
             values[exact] = off_vals
             errors[exact] = FLOAT_SLACK_LOG
         return values, errors, exact

@@ -26,11 +26,13 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Union
 
 import numpy as np
 
+from repro.core.correlation import CorrelationParameters
 from repro.resilience.atomic import atomic_write_bytes
 from repro.resilience.checkpoint import CorruptArtifactError
 
@@ -82,11 +84,12 @@ class YieldSurface:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        w = np.ascontiguousarray(np.asarray(self.width_nm, dtype=float))
-        d = np.ascontiguousarray(np.asarray(self.cnt_density_per_um, dtype=float))
-        v = np.ascontiguousarray(np.asarray(self.log_failure, dtype=float))
-        se = np.ascontiguousarray(np.asarray(self.stat_se_log, dtype=float))
-        ie = np.ascontiguousarray(np.asarray(self.interp_error_log, dtype=float))
+        # Private read-only copies: the content hash and the summary
+        # maxima are cached per instance, so no array may change under them.
+        w, d, v, se, ie = (
+            np.array(getattr(self, name), dtype=float, order="C")
+            for name in _ARRAY_FIELDS
+        )
         for axis, label in ((w, "width_nm"), (d, "cnt_density_per_um")):
             if axis.ndim != 1 or axis.size < 2:
                 raise ValueError(f"{label} needs at least two points")
@@ -108,19 +111,17 @@ class YieldSurface:
             raise ValueError("log_failure must be non-positive (probabilities)")
         if np.any(se < 0.0) or np.any(ie < 0.0):
             raise ValueError("error channels must be non-negative")
-        object.__setattr__(self, "width_nm", w)
-        object.__setattr__(self, "cnt_density_per_um", d)
-        object.__setattr__(self, "log_failure", v)
-        object.__setattr__(self, "stat_se_log", se)
-        object.__setattr__(self, "interp_error_log", ie)
+        for name, array in zip(_ARRAY_FIELDS, (w, d, v, se, ie)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def content_hash(self) -> str:
-        """sha256 over canonical metadata JSON and raw array bytes."""
+        """sha256 over canonical metadata JSON and raw array bytes (cached)."""
         digest = hashlib.sha256()
         digest.update(self._canonical_metadata().encode("utf-8"))
         for name in _ARRAY_FIELDS:
@@ -130,7 +131,7 @@ class YieldSurface:
             digest.update(array.tobytes())
         return digest.hexdigest()
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Short identity used in filenames and cache keys."""
         return f"{self.scenario}-{self.content_hash[:12]}"
@@ -164,13 +165,21 @@ class YieldSurface:
     # Summary
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def max_interp_error_log(self) -> float:
         return float(np.max(self.interp_error_log))
 
-    @property
+    @cached_property
     def max_stat_se_log(self) -> float:
         return float(np.max(self.stat_se_log))
+
+    @cached_property
+    def devices_per_row(self) -> float:
+        """MRmin (Eq. 3.2) of the correlation metadata, computed once.
+
+        Row-scenario queries divide Mmin by it to get the row count KR.
+        """
+        return CorrelationParameters(**self.metadata["correlation"]).devices_per_row
 
     def describe(self) -> Dict[str, object]:
         """Flat summary row (reporting / CLI / JSON friendly)."""

@@ -148,6 +148,23 @@ class TestQueryEndpoint:
             assert status == 400
             assert "width_nm" in body["error"]["message"]
 
+    def test_oversized_integer_is_400(self, app, surface):
+        # 1 followed by 400 zeros overflows a float: a client error, not
+        # a 500 from the conversion.
+        huge = 10 ** 400
+        for field, message in (
+            ("width_nm", "width_nm must contain only finite numbers"),
+            ("cnt_density_per_um",
+             "cnt_density_per_um must contain only finite numbers"),
+            ("device_count", "device_count must contain only finite numbers"),
+            ("deadline_s", "deadline_s must be a non-negative finite number"),
+        ):
+            status, body = call(
+                app, "POST", "/v1/query", _query_body(surface, **{field: huge})
+            )
+            assert status == 400, field
+            assert body["error"]["message"] == message
+
     def test_unknown_surface_is_404(self, app, tmp_path):
         status, body = call(
             app, "POST", "/v1/query",

@@ -67,6 +67,25 @@ class TestQueryRequestValidation:
         with pytest.raises(SchemaError, match="finite"):
             QueryRequest.from_payload(_payload(width_nm=[100.0, math.inf]))
 
+    def test_rejects_oversized_integers(self):
+        # An integer past the float range used to escape as OverflowError
+        # (a 500 on the wire); it is as non-finite as inf.
+        huge = 10 ** 400
+        for field in ("width_nm", "cnt_density_per_um", "device_count"):
+            for bad in (huge, [100.0, huge], -huge):
+                with pytest.raises(SchemaError, match=f"{field} must contain only finite"):
+                    QueryRequest.from_payload(_payload(**{field: bad}))
+        for bad in (huge, -huge):
+            with pytest.raises(SchemaError, match="deadline_s"):
+                QueryRequest.from_payload(_payload(deadline_s=bad))
+
+    def test_large_but_finite_integers_parse(self):
+        request = QueryRequest.from_payload(
+            _payload(device_count=10 ** 300, deadline_s=10 ** 300)
+        )
+        assert request.device_count == 1e300
+        assert request.deadline_s == 1e300
+
     def test_rejects_negative_width(self):
         with pytest.raises(SchemaError, match="positive"):
             QueryRequest.from_payload(_payload(width_nm=[-1.0]))

@@ -8,12 +8,14 @@ grid alike.  A second contract is physical: served failure can only grow
 as removal efficiency degrades (eta falls), on-node and fused alike.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.surface import EtaSurfaceFamily, GridAxis, SweepSpec
+from repro.surface import EtaSurfaceFamily, GridAxis, SweepSpec, bilinear_interpolate
 
 W_LOW, W_HIGH = 60.0, 200.0
 D_LOW, D_HIGH = 200.0, 320.0
@@ -136,3 +138,60 @@ class TestFamilyGuards:
         assert info["removal_etas"] == list(ETAS)
         assert info["n_surfaces"] == len(ETAS)
         assert len(info["eta_interp_error_log"]) == len(ETAS) - 1
+
+
+#: SHA-256 of the interpolated family answers at fixed points, recorded
+#: with the family's own per-node copy of the bilinear bound, before it
+#: was replaced by the serving kernel.
+FAMILY_QUERY_SHA256 = (
+    "b17782a88855872567f911a390c51029065169288f5c65eca146a73f6b946122"
+)
+PINNED_ETAS = (0.85, 0.88, 0.92, 0.97, 1.0)
+
+
+def pinned_points():
+    rng = np.random.default_rng(20100613)
+    w = np.concatenate([rng.uniform(W_LOW, W_HIGH, 64), [W_LOW, W_HIGH]])
+    d = np.concatenate([rng.uniform(D_LOW, D_HIGH, 64), [D_HIGH, D_LOW]])
+    return w, d
+
+
+def node_reference(surface, w, d):
+    """Per-node (log p, bound): bilinear value and cell residual + slack."""
+    log_p, i, j = bilinear_interpolate(
+        surface.width_nm, surface.cnt_density_per_um, surface.log_failure, w, d
+    )
+    return np.minimum(log_p, 0.0), surface.interp_error_log[i, j] + 1e-9
+
+
+class TestOneInterpolationKernel:
+    def test_family_answers_match_the_pinned_hash(self, family):
+        w, d = pinned_points()
+        digest = hashlib.sha256()
+        for eta in PINNED_ETAS:
+            for array in family.query(w, d, eta):
+                digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == FAMILY_QUERY_SHA256
+
+    def test_family_answers_equal_the_per_node_reference(self, family):
+        w, d = pinned_points()
+        for eta in PINNED_ETAS:
+            served = family.query(w, d, eta)
+            if eta in ETAS:
+                values, errors = node_reference(
+                    family.surfaces[ETAS.index(eta)], w, d
+                )
+            else:
+                k = int(np.searchsorted(ETAS, eta)) - 1
+                t = (eta - ETAS[k]) / (ETAS[k + 1] - ETAS[k])
+                lo_vals, lo_errs = node_reference(family.surfaces[k], w, d)
+                hi_vals, hi_errs = node_reference(family.surfaces[k + 1], w, d)
+                values = np.minimum((1.0 - t) * lo_vals + t * hi_vals, 0.0)
+                errors = (np.maximum(lo_errs, hi_errs)
+                          + family.eta_interp_error_log[k] + 1e-9)
+            assert not served.exact.any()
+            for got, want in ((served.log_failure, values),
+                              (served.error_log, errors)):
+                np.testing.assert_array_equal(
+                    got.view(np.uint64), want.view(np.uint64)
+                )

@@ -98,6 +98,34 @@ class TestIdentity:
             != make_surface(metadata={"method": "tilted"}).content_hash
         )
 
+    def test_arrays_are_read_only_copies(self):
+        w = np.array([10.0, 20.0, 40.0])
+        surface = make_surface()
+        for name in ("width_nm", "cnt_density_per_um", "log_failure",
+                     "stat_se_log", "interp_error_log"):
+            array = getattr(surface, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = -1.0
+        # The caller's own arrays stay writable and are not aliased.
+        alias = YieldSurface(
+            scenario="device", width_nm=w,
+            cnt_density_per_um=surface.cnt_density_per_um,
+            log_failure=surface.log_failure, stat_se_log=surface.stat_se_log,
+            interp_error_log=surface.interp_error_log,
+        )
+        w[0] = 5.0
+        assert alias.width_nm[0] == 10.0
+
+    def test_cached_key_equals_a_fresh_recomputation(self):
+        surface = make_surface(metadata={"method": "closed_form", "seed": 3})
+        first = surface.key
+        assert surface.key is first  # computed once per instance
+        fresh = type(surface).content_hash.func(surface)
+        assert surface.content_hash == fresh
+        assert first == f"device-{fresh[:12]}"
+        assert make_surface(metadata={"method": "closed_form", "seed": 3}).key == first
+
     def test_key_includes_scenario(self):
         surface = make_surface(scenario="uncorrelated")
         assert surface.key.startswith("uncorrelated-")
